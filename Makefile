@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench sweep bench-smoke benchdiff profile fuzz-smoke serve serve-smoke serve-cluster serve-cluster-smoke crash-smoke fmt fmt-check vet lint doc check
+.PHONY: build test bench-module-check race bench sweep bench-smoke benchdiff profile fuzz-smoke serve serve-smoke serve-cluster serve-cluster-smoke crash-smoke fmt fmt-check vet lint doc check
 
 build:
 	$(GO) build ./...
@@ -10,16 +10,20 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-enabled tests on the packages with real concurrency: the executors
-# (static and dynamic), every scheduler family, the dynamic-priority
-# workloads (sssp, kcore, pagerank), the workload registry, the job service
-# (worker pool, graph cache, drain) and its daemon, the trace/metrics
-# observability layer, and the end-to-end
+# The repository benchmark is a module of its own (benchmark/go.mod), so the
+# root `go test ./...` never compiles it: vet and test it against the working
+# tree whenever a package it imports changes.
+bench-module-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Race-enabled tests on the packages with real concurrency: the engine, every
+# scheduler family, every algorithm (one loop serves both contracts), the
+# workload registry, the job service (worker pool, graph cache, drain) and
+# its daemon, the trace/metrics observability layer, and the end-to-end
 # integration matrix.
 race:
 	$(GO) test -race ./internal/core/... ./internal/sched/... \
-		./internal/algos/sssp/... ./internal/algos/kcore/... \
-		./internal/algos/pagerank/... ./internal/workload/... \
+		./internal/algos/... ./internal/workload/... \
 		./internal/api/... ./internal/ranktrack/... \
 		./internal/control/... ./internal/wal/... \
 		./internal/trace/... ./internal/metricsexport/... \
@@ -62,7 +66,7 @@ bench-smoke:
 		-baseline /tmp/relaxsched-bench-baseline.json -max-regression 0.25
 
 # Old-vs-new benchmark diff over the pinned hot-path set (multiqueue churn,
-# worker-affine handle churn, 1-worker concurrent sssp and pagerank): the
+# worker-affine handle churn, 1-worker concurrent mis, sssp and pagerank): the
 # base ref (BASE, default origin/main) is benchmarked in a throwaway git
 # worktree and compared against the working tree. Fails on a >25% median
 # ns/op regression in any benchmark present in both trees; uses benchstat

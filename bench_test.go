@@ -97,12 +97,12 @@ func figure2Benchmark(b *testing.B, class bench.Class, scheduler string, threads
 			}
 		case bench.SchedulerRelaxed:
 			mq := multiqueue.NewConcurrent(multiqueue.DefaultQueueFactor*threads, g.NumVertices(), uint64(i))
-			if _, _, err := mis.RunConcurrent(g, labels, mq, core.ConcurrentOptions{Workers: threads}); err != nil {
+			if _, _, err := mis.RunConcurrent(g, labels, mq, core.Reinsert, core.Options{Workers: threads}); err != nil {
 				b.Fatal(err)
 			}
 		case bench.SchedulerExact:
 			q := faaqueue.New(g.NumVertices())
-			if _, _, err := mis.RunConcurrent(g, labels, q, core.ConcurrentOptions{Workers: threads, BlockedPolicy: core.Wait}); err != nil {
+			if _, _, err := mis.RunConcurrent(g, labels, q, core.Wait, core.Options{Workers: threads}); err != nil {
 				b.Fatal(err)
 			}
 		default:
@@ -299,7 +299,7 @@ func BenchmarkAblationMultiQueueFactor(b *testing.B) {
 		b.Run(fmt.Sprintf("factor=%d", factor), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mq := multiqueue.NewConcurrent(factor*workers, n, uint64(i))
-				if _, _, err := mis.RunConcurrent(g, labels, mq, core.ConcurrentOptions{Workers: workers}); err != nil {
+				if _, _, err := mis.RunConcurrent(g, labels, mq, core.Reinsert, core.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -353,11 +353,14 @@ func BenchmarkAblationReinsertPolicy(b *testing.B) {
 	}
 	labels := core.RandomLabels(n, r)
 	workers := runtime.GOMAXPROCS(0)
-	for _, policy := range []core.Policy{core.Reinsert, core.Wait} {
-		b.Run(policy.String(), func(b *testing.B) {
+	for _, pc := range []struct {
+		name   string
+		policy core.Policy
+	}{{"reinsert", core.Reinsert}, {"wait", core.Wait}} {
+		b.Run(pc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mq := multiqueue.NewConcurrent(multiqueue.DefaultQueueFactor*workers, n, uint64(i))
-				if _, _, err := mis.RunConcurrent(g, labels, mq, core.ConcurrentOptions{Workers: workers, BlockedPolicy: policy}); err != nil {
+				if _, _, err := mis.RunConcurrent(g, labels, mq, pc.policy, core.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

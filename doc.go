@@ -2,9 +2,10 @@
 // Efficiently Parallelize Iterative Algorithms" (Alistarh, Brown, Kopinsky,
 // Nadiradze; PODC 2018, arXiv:1808.04155).
 //
-// The library implements the paper's execution framework for iterative
-// algorithms with explicit dependencies plus a second executor family for
-// dynamic-priority workloads (internal/core), the relaxed priority
+// The library implements one execution engine serving two contracts — the
+// paper's framework for iterative algorithms with explicit dependencies,
+// run as an adapter over the engine's dynamic-priority contract
+// (internal/core) — the relaxed priority
 // schedulers it builds on — MultiQueue, SprayList, a deterministic k-bounded
 // queue, an exact binary heap, and a fetch-and-add FIFO baseline
 // (internal/sched/...) — the graph substrate (internal/graph), and the
@@ -14,7 +15,7 @@
 // k-core decomposition, and residual-push PageRank (internal/algos/...).
 //
 // Every schedulable workload registers a descriptor in internal/workload —
-// the registry that ties algorithms to executors, schedulers, CLIs and the
+// the registry that ties algorithms to the engine, schedulers, CLIs and the
 // benchmark harness. cmd/relaxrun runs any registered workload over an
 // edge-list graph in any execution mode; cmd/misrun and cmd/kcorerun are
 // thin single-workload wrappers; cmd/relaxbench and internal/bench
@@ -25,7 +26,7 @@
 // as a long-running job service: the pending-job queue is itself an
 // internal/sched scheduler (exact, MultiQueue, k-bounded, FIFO — or auto,
 // where the internal/control feedback controller retunes the queue's rank
-// bound and the executors' batch size online against operator rank-error
+// bound and the engine's batch size online against operator rank-error
 // and p99-latency SLOs), with per-job rank error and queue latency
 // measured, a graph cache keyed by canonical generator spec, bounded
 // admission and graceful drain. The wire

@@ -49,7 +49,7 @@ func run() error {
 	workers := runtime.GOMAXPROCS(0)
 	mq := multiqueue.NewConcurrent(multiqueue.DefaultQueueFactor*workers, g.NumVertices(), seed)
 	start = time.Now()
-	colors, res, err := coloring.RunConcurrent(g, labels, mq, core.ConcurrentOptions{Workers: workers})
+	colors, res, err := coloring.RunConcurrent(g, labels, mq, core.Reinsert, core.Options{Workers: workers})
 	if err != nil {
 		return err
 	}

@@ -63,7 +63,7 @@ func run() error {
 	workers := runtime.GOMAXPROCS(0)
 	mq := multiqueue.NewConcurrent(multiqueue.DefaultQueueFactor*workers, g.NumVertices(), seed)
 	start = time.Now()
-	parallel, pst, err := kcore.RunConcurrent(g, mq, core.DynamicOptions{Workers: workers})
+	parallel, pst, err := kcore.RunConcurrent(g, mq, core.Options{Workers: workers})
 	if err != nil {
 		return err
 	}

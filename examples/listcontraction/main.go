@@ -62,7 +62,7 @@ func run() error {
 	workers := runtime.GOMAXPROCS(0)
 	mq := multiqueue.NewConcurrent(multiqueue.DefaultQueueFactor*workers, n, seed)
 	start = time.Now()
-	gotPrev, gotNext, res, err := listcontract.RunConcurrent(problem, labels, mq, core.ConcurrentOptions{Workers: workers})
+	gotPrev, gotNext, res, err := listcontract.RunConcurrent(problem, labels, mq, core.Reinsert, core.Options{Workers: workers})
 	if err != nil {
 		return err
 	}

@@ -53,7 +53,7 @@ func run() error {
 	workers := runtime.GOMAXPROCS(0)
 	mq := multiqueue.NewConcurrent(multiqueue.DefaultQueueFactor*workers, numEdges, seed)
 	start = time.Now()
-	matched, res, err := matching.RunConcurrent(g, labels, mq, core.ConcurrentOptions{Workers: workers})
+	matched, res, err := matching.RunConcurrent(g, labels, mq, core.Reinsert, core.Options{Workers: workers})
 	if err != nil {
 		return err
 	}

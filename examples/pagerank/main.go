@@ -71,7 +71,7 @@ func run() error {
 	workers := runtime.GOMAXPROCS(0)
 	mq := multiqueue.NewConcurrent(multiqueue.DefaultQueueFactor*workers, g.NumVertices(), seed)
 	start = time.Now()
-	parallel, pst, err := pagerank.RunConcurrent(g, mq, core.DynamicOptions{Workers: workers}, opts)
+	parallel, pst, err := pagerank.RunConcurrent(g, mq, core.Options{Workers: workers}, opts)
 	if err != nil {
 		return err
 	}

@@ -61,7 +61,7 @@ func run() error {
 	workers := runtime.GOMAXPROCS(0)
 	mq := multiqueue.NewConcurrent(multiqueue.DefaultQueueFactor*workers, vertices, seed)
 	start = time.Now()
-	parallelSet, cres, err := mis.RunConcurrent(g, labels, mq, core.ConcurrentOptions{Workers: workers})
+	parallelSet, cres, err := mis.RunConcurrent(g, labels, mq, core.Reinsert, core.Options{Workers: workers})
 	if err != nil {
 		return err
 	}

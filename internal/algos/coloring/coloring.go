@@ -146,10 +146,10 @@ func RunRelaxed(g *graph.Graph, labels []uint32, s sched.Scheduler) ([]int32, co
 
 // RunConcurrent executes greedy coloring with worker goroutines sharing a
 // concurrent scheduler.
-func RunConcurrent(g *graph.Graph, labels []uint32, s sched.Concurrent, opts core.ConcurrentOptions) ([]int32, core.ConcurrentResult, error) {
-	res, err := core.RunConcurrent(New(g), labels, s, opts)
+func RunConcurrent(g *graph.Graph, labels []uint32, s sched.Concurrent, policy core.Policy, opts core.Options) ([]int32, core.Result, error) {
+	res, err := core.RunConcurrent(New(g), labels, s, policy, opts)
 	if err != nil {
-		return nil, core.ConcurrentResult{}, fmt.Errorf("coloring: concurrent execution: %w", err)
+		return nil, core.Result{}, fmt.Errorf("coloring: concurrent execution: %w", err)
 	}
 	return res.Instance.(*Instance).Colors(), res, nil
 }

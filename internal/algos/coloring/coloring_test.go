@@ -139,7 +139,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 	want := Sequential(g, labels)
 	for _, workers := range []int{1, 2, 4, 8} {
 		mq := multiqueue.NewConcurrent(4*workers, 1500, uint64(workers))
-		got, _, err := RunConcurrent(g, labels, mq, core.ConcurrentOptions{Workers: workers})
+		got, _, err := RunConcurrent(g, labels, mq, core.Reinsert, core.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

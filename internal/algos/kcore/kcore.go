@@ -287,7 +287,7 @@ func RunRelaxed(g *graph.Graph, s sched.Scheduler) ([]uint32, Stats, error) {
 // RunConcurrent computes core numbers with worker goroutines sharing a
 // concurrent scheduler, via the dynamic engine. opts carries the engine
 // knobs (worker count, batch size, cancellation).
-func RunConcurrent(g *graph.Graph, s sched.Concurrent, opts core.DynamicOptions) ([]uint32, Stats, error) {
+func RunConcurrent(g *graph.Graph, s sched.Concurrent, opts core.Options) ([]uint32, Stats, error) {
 	if s == nil {
 		return nil, Stats{}, fmt.Errorf("kcore: scheduler must not be nil")
 	}
@@ -317,7 +317,7 @@ func RunConcurrent(g *graph.Graph, s sched.Concurrent, opts core.DynamicOptions)
 	for v := range out {
 		out[v] = p.est[v].Load()
 	}
-	return out, fromDynamic(res.DynamicStats), nil
+	return out, fromDynamic(res), nil
 }
 
 // Verify checks that coreNums is the exact k-core decomposition of g by

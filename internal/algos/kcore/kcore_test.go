@@ -116,7 +116,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, batch := range []int{0, 1} {
 			mq := multiqueue.NewConcurrent(4*workers, 2000, uint64(workers+batch))
-			got, st, err := RunConcurrent(g, mq, core.DynamicOptions{Workers: workers, BatchSize: batch})
+			got, st, err := RunConcurrent(g, mq, core.Options{Workers: workers, BatchSize: batch})
 			if err != nil {
 				t.Fatalf("workers=%d batch=%d: %v", workers, batch, err)
 			}
@@ -142,7 +142,7 @@ func TestConcurrentExactFIFOMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Sequential(g)
-	got, _, err := RunConcurrent(g, faaqueue.New(1200), core.DynamicOptions{Workers: 4})
+	got, _, err := RunConcurrent(g, faaqueue.New(1200), core.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestPowerLawCoreNumbers(t *testing.T) {
 	}
 	want := Sequential(g)
 	mq := multiqueue.NewConcurrent(8, g.NumVertices(), 5)
-	got, _, err := RunConcurrent(g, mq, core.DynamicOptions{Workers: 4})
+	got, _, err := RunConcurrent(g, mq, core.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +175,13 @@ func TestValidation(t *testing.T) {
 	if _, _, err := RunRelaxed(g, nil); err == nil {
 		t.Fatal("nil scheduler accepted by RunRelaxed")
 	}
-	if _, _, err := RunConcurrent(g, nil, core.DynamicOptions{Workers: 2}); err == nil {
+	if _, _, err := RunConcurrent(g, nil, core.Options{Workers: 2}); err == nil {
 		t.Fatal("nil scheduler accepted by RunConcurrent")
 	}
-	if _, _, err := RunConcurrent(g, faaqueue.New(3), core.DynamicOptions{Workers: 0}); err == nil {
+	if _, _, err := RunConcurrent(g, faaqueue.New(3), core.Options{Workers: 0}); err == nil {
 		t.Fatal("zero workers accepted")
 	}
-	if _, _, err := RunConcurrent(g, faaqueue.New(3), core.DynamicOptions{Workers: 1, BatchSize: -2}); err == nil {
+	if _, _, err := RunConcurrent(g, faaqueue.New(3), core.Options{Workers: 1, BatchSize: -2}); err == nil {
 		t.Fatal("negative batch accepted")
 	}
 	if err := Verify(g, []uint32{1}); err == nil {
@@ -213,7 +213,7 @@ func TestDeterministicResultProperty(t *testing.T) {
 			return false
 		}
 		mq := multiqueue.NewConcurrent(4, n, seed)
-		cgot, _, err := RunConcurrent(g, mq, core.DynamicOptions{Workers: 1 + r.Intn(4), BatchSize: r.Intn(3)})
+		cgot, _, err := RunConcurrent(g, mq, core.Options{Workers: 1 + r.Intn(4), BatchSize: r.Intn(3)})
 		if err != nil {
 			return false
 		}
@@ -245,7 +245,7 @@ func BenchmarkConcurrentKCore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mq := multiqueue.NewConcurrent(4, g.NumVertices(), uint64(i)+1)
-		if _, _, err := RunConcurrent(g, mq, core.DynamicOptions{Workers: 1}); err != nil {
+		if _, _, err := RunConcurrent(g, mq, core.Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -130,7 +130,8 @@ type Instance struct {
 
 var _ core.Instance = (*Instance)(nil)
 
-// Blocked reports whether v currently has a higher-priority list neighbor.
+// Blocked reports whether v currently has a higher-priority list neighbor,
+// or a neighbor whose splice is still in flight.
 //
 // Unlike problems over immutable dependency structures, the processed bit of
 // the observed neighbor must NOT be consulted here: if a loaded neighbor p
@@ -143,12 +144,19 @@ var _ core.Instance = (*Instance)(nil)
 // node). Reporting blocked is always safe: the re-delivered v observes the
 // rewired pointer, and the node actually blocking v is never waiting on v
 // (its label is smaller), so progress is preserved.
+//
+// For the same reason a link that the neighbor does not mirror yet blocks v:
+// a contraction of x between p and v swings next[p] to v before it swings
+// prev[v] to p, and in between p no longer sees x at all. If p contracted on
+// that view, x's second store would land after p's own and leave v pointing
+// at the contracted p forever. The half-made link lasts two stores, so the
+// block is transient.
 func (inst *Instance) Blocked(v int) bool {
 	lv := inst.st.Label(v)
-	if p := inst.prev[v].Load(); p != None && inst.st.Label(int(p)) < lv {
+	if p := inst.prev[v].Load(); p != None && (inst.st.Label(int(p)) < lv || inst.next[p].Load() != int32(v)) {
 		return true
 	}
-	if nx := inst.next[v].Load(); nx != None && inst.st.Label(int(nx)) < lv {
+	if nx := inst.next[v].Load(); nx != None && (inst.st.Label(int(nx)) < lv || inst.prev[nx].Load() != int32(v)) {
 		return true
 	}
 	return false
@@ -216,10 +224,10 @@ func RunRelaxed(p *Problem, labels []uint32, s sched.Scheduler) ([]int32, []int3
 
 // RunConcurrent executes list contraction with worker goroutines sharing a
 // concurrent scheduler.
-func RunConcurrent(p *Problem, labels []uint32, s sched.Concurrent, opts core.ConcurrentOptions) ([]int32, []int32, core.ConcurrentResult, error) {
-	res, err := core.RunConcurrent(p, labels, s, opts)
+func RunConcurrent(p *Problem, labels []uint32, s sched.Concurrent, policy core.Policy, opts core.Options) ([]int32, []int32, core.Result, error) {
+	res, err := core.RunConcurrent(p, labels, s, policy, opts)
 	if err != nil {
-		return nil, nil, core.ConcurrentResult{}, fmt.Errorf("listcontract: concurrent execution: %w", err)
+		return nil, nil, core.Result{}, fmt.Errorf("listcontract: concurrent execution: %w", err)
 	}
 	cp, cn := res.Instance.(*Instance).Contractions()
 	return cp, cn, res, nil

@@ -165,7 +165,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 	wantPrev, wantNext := Sequential(p, labels)
 	for _, workers := range []int{1, 2, 4, 8} {
 		mq := multiqueue.NewConcurrent(4*workers, n, uint64(workers))
-		gotPrev, gotNext, _, err := RunConcurrent(p, labels, mq, core.ConcurrentOptions{Workers: workers})
+		gotPrev, gotNext, _, err := RunConcurrent(p, labels, mq, core.Reinsert, core.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -89,12 +89,24 @@ func (inst *Instance) Blocked(e int) bool {
 			if fi == e {
 				continue
 			}
-			if inst.labels[fi] < le && !inst.st.Processed(fi) && !inst.dead(fi) {
+			if inst.labels[fi] < le && !inst.st.Processed(fi) && inst.live(fi) {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// live reports whether the unprocessed edge f may still join the matching —
+// or is joining it right now. An edge in the middle of its own Process has
+// one endpoint marked and the other not yet: dead(f) already reads true, but
+// f is the opposite of out of the race, and an edge at its unmarked endpoint
+// that took it for dead would join the matching beside it. Process sets
+// inMatching before either endpoint bit and the bitsets are sequentially
+// consistent, so reading dead first and inMatching second cannot miss that
+// state.
+func (inst *Instance) live(f int) bool {
+	return !inst.dead(f) || inst.inMatching.Get(f)
 }
 
 // dead reports whether edge f can no longer join the matching because one of
@@ -168,10 +180,10 @@ func RunRelaxed(g *graph.Graph, labels []uint32, s sched.Scheduler) ([]bool, cor
 
 // RunConcurrent executes greedy matching with worker goroutines sharing a
 // concurrent scheduler.
-func RunConcurrent(g *graph.Graph, labels []uint32, s sched.Concurrent, opts core.ConcurrentOptions) ([]bool, core.ConcurrentResult, error) {
-	res, err := core.RunConcurrent(New(g), labels, s, opts)
+func RunConcurrent(g *graph.Graph, labels []uint32, s sched.Concurrent, policy core.Policy, opts core.Options) ([]bool, core.Result, error) {
+	res, err := core.RunConcurrent(New(g), labels, s, policy, opts)
 	if err != nil {
-		return nil, core.ConcurrentResult{}, fmt.Errorf("matching: concurrent execution: %w", err)
+		return nil, core.Result{}, fmt.Errorf("matching: concurrent execution: %w", err)
 	}
 	return res.Instance.(*Instance).Matching(), res, nil
 }

@@ -139,7 +139,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 	want := Sequential(g, labels)
 	for _, workers := range []int{1, 2, 4, 8} {
 		mq := multiqueue.NewConcurrent(4*workers, m, uint64(workers))
-		got, _, err := RunConcurrent(g, labels, mq, core.ConcurrentOptions{Workers: workers})
+		got, _, err := RunConcurrent(g, labels, mq, core.Reinsert, core.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -216,5 +216,58 @@ func BenchmarkRelaxedMatching(b *testing.B) {
 		if _, _, err := RunRelaxed(g, labels, multiqueue.NewSequential(16, m, rng.New(uint64(i)))); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// stagedState is a core.State a test sets by hand.
+type stagedState struct {
+	labels    []uint32
+	processed []bool
+}
+
+func (s *stagedState) NumTasks() int        { return len(s.labels) }
+func (s *stagedState) Processed(v int) bool { return s.processed[v] }
+func (s *stagedState) Label(v int) uint32   { return s.labels[v] }
+
+// TestBlockedSeesEdgeMidProcess stages the interleaving that made concurrent
+// matching non-deterministic: the higher-priority edge e is halfway through
+// its own Process (in the matching, first endpoint marked, the endpoint it
+// shares with f not yet). dead(e) already reads true there, and a Blocked(f)
+// that trusted it let f join the matching beside e.
+func TestBlockedSeesEdgeMidProcess(t *testing.T) {
+	p := New(graph.Path(3)) // edges e = (0,1), f = (1,2), sharing vertex 1
+	const e, f = 0, 1
+	if got := p.Edges(); got[e] != (graph.Edge{U: 0, V: 1}) || got[f] != (graph.Edge{U: 1, V: 2}) {
+		t.Fatalf("unexpected edge numbering %v", got)
+	}
+	st := &stagedState{labels: []uint32{e: 0, f: 1}, processed: make([]bool, 2)}
+	inst := p.NewInstance(st).(*Instance)
+
+	inst.inMatching.Set(e)
+	inst.vertexMatched.Set(0)
+	if inst.Dead(f) {
+		t.Fatal("staging is off: f must not be dead before e marks the shared vertex")
+	}
+	if !inst.Blocked(f) {
+		t.Fatal("Blocked(f) = false while e is mid-Process: f would be matched beside e")
+	}
+
+	// Once e finishes, f is dead, and when e is marked processed nothing
+	// blocks f any more.
+	inst.vertexMatched.Set(1)
+	if !inst.Dead(f) {
+		t.Fatal("f must be dead once e has marked the shared vertex")
+	}
+	st.processed[e] = true
+	if inst.Blocked(f) {
+		t.Fatal("Blocked(f) = true after e was processed")
+	}
+
+	// An edge that is dead because a neighbor took its endpoint, and is not
+	// itself in the matching, blocks nothing.
+	inst = p.NewInstance(&stagedState{labels: []uint32{e: 0, f: 1}, processed: make([]bool, 2)}).(*Instance)
+	inst.vertexMatched.Set(0)
+	if inst.Blocked(f) {
+		t.Fatal("Blocked(f) = true although e is dead and out of the matching")
 	}
 }

@@ -132,10 +132,10 @@ func RunRelaxed(g *graph.Graph, labels []uint32, s sched.Scheduler) ([]bool, cor
 // RunConcurrent executes greedy MIS with worker goroutines sharing a
 // concurrent scheduler and returns the independent set along with the
 // execution counters.
-func RunConcurrent(g *graph.Graph, labels []uint32, s sched.Concurrent, opts core.ConcurrentOptions) ([]bool, core.ConcurrentResult, error) {
-	res, err := core.RunConcurrent(New(g), labels, s, opts)
+func RunConcurrent(g *graph.Graph, labels []uint32, s sched.Concurrent, policy core.Policy, opts core.Options) ([]bool, core.Result, error) {
+	res, err := core.RunConcurrent(New(g), labels, s, policy, opts)
 	if err != nil {
-		return nil, core.ConcurrentResult{}, fmt.Errorf("mis: concurrent execution: %w", err)
+		return nil, core.Result{}, fmt.Errorf("mis: concurrent execution: %w", err)
 	}
 	return res.Instance.(*Instance).InSet(), res, nil
 }

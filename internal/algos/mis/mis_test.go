@@ -183,7 +183,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		mq := multiqueue.NewConcurrent(4*workers, 2000, uint64(workers))
-		got, res, err := RunConcurrent(g, labels, mq, core.ConcurrentOptions{Workers: workers})
+		got, res, err := RunConcurrent(g, labels, mq, core.Reinsert, core.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -194,7 +194,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if res.Processed+res.DeadSkips != 2000 {
-			t.Fatalf("workers=%d: accounting off: %+v", workers, res.Result)
+			t.Fatalf("workers=%d: accounting off: %+v", workers, res)
 		}
 	}
 }
@@ -208,7 +208,7 @@ func TestConcurrentExactFIFOWaitPolicy(t *testing.T) {
 	labels := core.RandomLabels(1500, r)
 	want := Sequential(g, labels)
 	got, _, err := RunConcurrent(g, labels, faaqueue.New(1500),
-		core.ConcurrentOptions{Workers: 4, BlockedPolicy: core.Wait})
+		core.Wait, core.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func BenchmarkConcurrentPageRank(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mq := multiqueue.NewConcurrent(4*workers, g.NumVertices(), uint64(i)+1)
-				ranks, st, err := RunConcurrent(g, mq, core.DynamicOptions{Workers: workers}, opts)
+				ranks, st, err := RunConcurrent(g, mq, core.Options{Workers: workers}, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

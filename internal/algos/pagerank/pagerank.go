@@ -464,7 +464,7 @@ func RunRelaxed(g *graph.Graph, s sched.Scheduler, opts Options) ([]float64, Sta
 // opts.Tolerance of the true PageRank vector in L1 for any scheduler and
 // worker count; the exact floating-point values vary run to run because
 // concurrent pushes sum residuals in nondeterministic order.
-func RunConcurrent(g *graph.Graph, s sched.Concurrent, dopts core.DynamicOptions, opts Options) ([]float64, Stats, error) {
+func RunConcurrent(g *graph.Graph, s sched.Concurrent, dopts core.Options, opts Options) ([]float64, Stats, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
@@ -505,7 +505,7 @@ func RunConcurrent(g *graph.Graph, s sched.Concurrent, dopts core.DynamicOptions
 			touched++
 		}
 	}
-	return out, finishStats(res.DynamicStats, touched), nil
+	return out, finishStats(res, touched), nil
 }
 
 // L1 returns the L1 distance ‖a − b‖₁ of two equal-length vectors.

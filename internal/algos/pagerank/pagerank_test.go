@@ -72,7 +72,7 @@ func TestOptionsValidation(t *testing.T) {
 		if _, _, err := RunRelaxed(g, exactheap.New(4), opts); err == nil {
 			t.Fatalf("%s: RunRelaxed accepted %+v", name, opts)
 		}
-		if _, _, err := RunConcurrent(g, faaqueue.New(4), core.DynamicOptions{Workers: 1}, opts); err == nil {
+		if _, _, err := RunConcurrent(g, faaqueue.New(4), core.Options{Workers: 1}, opts); err == nil {
 			t.Fatalf("%s: RunConcurrent accepted %+v", name, opts)
 		}
 	}
@@ -83,10 +83,10 @@ func TestRunRejectsBadArguments(t *testing.T) {
 	if _, _, err := RunRelaxed(g, nil, Defaults()); err == nil {
 		t.Fatal("nil sequential scheduler accepted")
 	}
-	if _, _, err := RunConcurrent(g, nil, core.DynamicOptions{Workers: 1}, Defaults()); err == nil {
+	if _, _, err := RunConcurrent(g, nil, core.Options{Workers: 1}, Defaults()); err == nil {
 		t.Fatal("nil concurrent scheduler accepted")
 	}
-	if _, _, err := RunConcurrent(g, faaqueue.New(4), core.DynamicOptions{Workers: 0}, Defaults()); err == nil {
+	if _, _, err := RunConcurrent(g, faaqueue.New(4), core.Options{Workers: 0}, Defaults()); err == nil {
 		t.Fatal("zero workers accepted")
 	}
 }
@@ -155,7 +155,7 @@ func TestConcurrentMatchesOracleOnGNPAndPowerLaw(t *testing.T) {
 				"locked":     sched.NewLocked(exactheap.New(n)),
 			}
 			for sname, s := range variants {
-				ranks, st, err := RunConcurrent(g, s, core.DynamicOptions{Workers: workers, BatchSize: 8}, pushOpts)
+				ranks, st, err := RunConcurrent(g, s, core.Options{Workers: workers, BatchSize: 8}, pushOpts)
 				if err != nil {
 					t.Fatalf("%s/%s w=%d: %v", name, sname, workers, err)
 				}
@@ -199,7 +199,7 @@ func TestDanglingMassConservation(t *testing.T) {
 			t.Fatalf("dangling rank[%d] = %v, want %v", v, ranks[v], want)
 		}
 	}
-	cranks, _, err := RunConcurrent(g, faaqueue.New(8), core.DynamicOptions{Workers: 2, BatchSize: 4}, pushOpts)
+	cranks, _, err := RunConcurrent(g, faaqueue.New(8), core.Options{Workers: 2, BatchSize: 4}, pushOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

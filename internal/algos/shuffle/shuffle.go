@@ -153,14 +153,14 @@ func RunRelaxed(targets []int32, s sched.Scheduler) ([]int32, core.Result, error
 
 // RunConcurrent executes the shuffle with worker goroutines sharing a
 // concurrent scheduler.
-func RunConcurrent(targets []int32, s sched.Concurrent, opts core.ConcurrentOptions) ([]int32, core.ConcurrentResult, error) {
+func RunConcurrent(targets []int32, s sched.Concurrent, policy core.Policy, opts core.Options) ([]int32, core.Result, error) {
 	p, err := New(targets)
 	if err != nil {
-		return nil, core.ConcurrentResult{}, err
+		return nil, core.Result{}, err
 	}
-	res, err := core.RunConcurrent(p, core.IdentityLabels(p.NumTasks()), s, opts)
+	res, err := core.RunConcurrent(p, core.IdentityLabels(p.NumTasks()), s, policy, opts)
 	if err != nil {
-		return nil, core.ConcurrentResult{}, fmt.Errorf("shuffle: concurrent execution: %w", err)
+		return nil, core.Result{}, fmt.Errorf("shuffle: concurrent execution: %w", err)
 	}
 	return res.Instance.(*Instance).Permutation(), res, nil
 }

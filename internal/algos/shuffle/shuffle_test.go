@@ -141,7 +141,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 	want := Sequential(targets)
 	for _, workers := range []int{1, 2, 4, 8} {
 		mq := multiqueue.NewConcurrent(4*workers, n, uint64(workers))
-		got, _, err := RunConcurrent(targets, mq, core.ConcurrentOptions{Workers: workers})
+		got, _, err := RunConcurrent(targets, mq, core.Reinsert, core.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -199,7 +199,7 @@ func TestRunRelaxedRejectsInvalidTargets(t *testing.T) {
 	if _, _, err := RunRelaxed([]int32{0, 5}, exactheap.New(2)); err == nil {
 		t.Fatal("RunRelaxed accepted invalid targets")
 	}
-	if _, _, err := RunConcurrent([]int32{0, 5}, multiqueue.NewConcurrent(2, 2, 1), core.ConcurrentOptions{Workers: 1}); err == nil {
+	if _, _, err := RunConcurrent([]int32{0, 5}, multiqueue.NewConcurrent(2, 2, 1), core.Reinsert, core.Options{Workers: 1}); err == nil {
 		t.Fatal("RunConcurrent accepted invalid targets")
 	}
 }

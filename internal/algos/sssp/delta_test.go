@@ -39,7 +39,7 @@ func TestDeltaVariantsStayExact(t *testing.T) {
 		}
 		for _, workers := range []int{1, 3} {
 			mq := multiqueue.NewConcurrent(4, g.NumVertices(), uint64(delta)+uint64(workers))
-			got, _, err := RunConcurrentDelta(g, w, 0, mq, delta, core.DynamicOptions{Workers: workers, BatchSize: 8})
+			got, _, err := RunConcurrentDelta(g, w, 0, mq, delta, core.Options{Workers: workers, BatchSize: 8})
 			if err != nil {
 				t.Fatalf("delta=%d workers=%d: %v", delta, workers, err)
 			}
@@ -92,10 +92,10 @@ func TestDeltaValidation(t *testing.T) {
 		t.Fatal("zero delta accepted by RunRelaxedDelta")
 	}
 	mq := multiqueue.NewConcurrent(2, 3, 1)
-	if _, _, err := RunConcurrentDelta(g, w, 0, mq, 0, core.DynamicOptions{Workers: 1}); err == nil {
+	if _, _, err := RunConcurrentDelta(g, w, 0, mq, 0, core.Options{Workers: 1}); err == nil {
 		t.Fatal("zero delta accepted by RunConcurrentDelta")
 	}
-	if _, _, err := RunConcurrentDelta(g, w, 0, mq, 1, core.DynamicOptions{Workers: 1, BatchSize: -1}); err == nil {
+	if _, _, err := RunConcurrentDelta(g, w, 0, mq, 1, core.Options{Workers: 1, BatchSize: -1}); err == nil {
 		t.Fatal("negative batch size accepted")
 	}
 }

@@ -223,7 +223,7 @@ func RunRelaxedDelta(g *graph.Graph, w *graph.Weights, src int, s sched.Schedule
 // minimum, so the result is exact regardless of scheduling; relaxed
 // schedulers only add stale pops.
 func RunConcurrent(g *graph.Graph, w *graph.Weights, src int, s sched.Concurrent, workers int) ([]uint32, Stats, error) {
-	return RunConcurrentDelta(g, w, src, s, 1, core.DynamicOptions{Workers: workers})
+	return RunConcurrentDelta(g, w, src, s, 1, core.Options{Workers: workers})
 }
 
 // RunConcurrentDelta is RunConcurrent with Δ-stepping-style bucketed
@@ -231,7 +231,7 @@ func RunConcurrent(g *graph.Graph, w *graph.Weights, src int, s sched.Concurrent
 // cancellation). Bucketing composes with batching: both relax the effective
 // delivery order, trading relaxation quality against scheduler
 // synchronization.
-func RunConcurrentDelta(g *graph.Graph, w *graph.Weights, src int, s sched.Concurrent, delta uint32, opts core.DynamicOptions) ([]uint32, Stats, error) {
+func RunConcurrentDelta(g *graph.Graph, w *graph.Weights, src int, s sched.Concurrent, delta uint32, opts core.Options) ([]uint32, Stats, error) {
 	if err := validate(g, src, s, delta); err != nil {
 		return nil, Stats{}, err
 	}
@@ -250,7 +250,7 @@ func RunConcurrentDelta(g *graph.Graph, w *graph.Weights, src int, s sched.Concu
 	for i := range out {
 		out[i] = dist[i].Load()
 	}
-	return out, fromDynamic(res.DynamicStats), nil
+	return out, fromDynamic(res), nil
 }
 
 // Verify checks that dist is the exact shortest-path distance vector from

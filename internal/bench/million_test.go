@@ -39,7 +39,7 @@ func TestMillionVertexMISSmoke(t *testing.T) {
 		workers = 4
 	}
 	mq := multiqueue.NewConcurrent(multiqueue.DefaultQueueFactor*workers, n, 0x1e6)
-	set, _, err := mis.RunConcurrent(g, labels, mq, core.ConcurrentOptions{Workers: workers})
+	set, _, err := mis.RunConcurrent(g, labels, mq, core.Reinsert, core.Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestRunConcurrentCancelBeforeStart(t *testing.T) {
 	mq := multiqueue.NewConcurrent(8, p.NumTasks(), 3)
 	cancel := make(chan struct{})
 	close(cancel)
-	_, err := RunConcurrent(p, labels, mq, ConcurrentOptions{Workers: 4, Cancel: cancel})
+	_, err := RunConcurrent(p, labels, mq, Reinsert, Options{Workers: 4, Cancel: cancel})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("got %v, want ErrCanceled", err)
 	}
@@ -63,7 +63,7 @@ func TestRunConcurrentCancelMidRun(t *testing.T) {
 		// Batch size 1: at most one task resolves per episode, so after the
 		// gate releases the worker sees the closed Cancel channel within one
 		// task's worth of work.
-		_, err := RunConcurrent(p, labels, mq, ConcurrentOptions{Workers: 1, BatchSize: 1, Cancel: cancel})
+		_, err := RunConcurrent(p, labels, mq, Reinsert, Options{Workers: 1, BatchSize: 1, Cancel: cancel})
 		done <- err
 	}()
 	for p.processed.Load() == 0 {
@@ -102,7 +102,7 @@ func TestRunDynamicConcurrentCancel(t *testing.T) {
 	cancel := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunDynamicConcurrent(p, []sched.Item{{Task: 0, Priority: 0}}, mq, DynamicOptions{Workers: 2, Cancel: cancel})
+		_, err := RunDynamicConcurrent(p, []sched.Item{{Task: 0, Priority: 0}}, mq, Options{Workers: 2, Cancel: cancel})
 		done <- err
 	}()
 	for p.expanded.Load() < 100 {
@@ -125,7 +125,7 @@ func TestCancelNilChannelIsInert(t *testing.T) {
 	p := randomDepthProblem(300, 900, rng.New(5))
 	labels := RandomLabels(p.NumTasks(), rng.New(6))
 	mq := multiqueue.NewConcurrent(8, p.NumTasks(), 9)
-	res, err := RunConcurrent(p, labels, mq, ConcurrentOptions{Workers: 4, Cancel: nil})
+	res, err := RunConcurrent(p, labels, mq, Reinsert, Options{Workers: 4, Cancel: nil})
 	if err != nil {
 		t.Fatal(err)
 	}

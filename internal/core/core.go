@@ -1,9 +1,23 @@
-// Package core implements the two executor families every workload in this
-// repository runs on: the paper's execution framework for iterative
-// algorithms with explicit dependencies (Section 2), and a dynamic-priority
-// engine for workloads whose priorities change at runtime.
+// Package core is the execution engine every workload in this repository
+// runs on: one batched worker loop and one termination protocol, serving two
+// contracts.
 //
-// # The static framework
+// # The engine and the dynamic contract
+//
+// A DynamicProblem is a stream of prioritized items: a once-per-item
+// staleness check plus an expansion that emits follow-on items through an
+// Emitter. RunDynamic drives it in the paper's sequential model (one item
+// per pop); RunDynamicConcurrent drives it with worker goroutines that pop
+// and insert in batches, detect termination with per-worker balance
+// registers (the protocol and its invariant are stated once, on
+// RunDynamicConcurrent) and back off when idle. Shortest paths, k-core
+// peeling and residual-push PageRank implement the contract directly: their
+// priorities are tentative quantities (distances, degrees, residual mass)
+// that change during the execution, and exactness comes from the problem's
+// monotone state updates, so relaxation costs only stale pops and
+// re-evaluations, never wrong output.
+//
+// # The static contract (the paper's framework, Section 2)
 //
 // A Problem describes a set of n tasks and, once bound to an execution via
 // NewInstance, can answer two questions about a task — is it Blocked (does it
@@ -14,33 +28,21 @@
 // dependencies have been resolved, which makes the output identical to the
 // sequential algorithm's regardless of how relaxed the scheduler is.
 //
-// Three executors are provided:
+// The framework is a special case of the dynamic contract, and that is how
+// it is implemented (static.go): the n tasks are the seeds, a delivered task
+// is stale when it is Dead, and expanding a Blocked task requeues it at its
+// own label. Three entry points:
 //
-//   - RunSequential — Algorithm 1: an exact scheduler delivers tasks in
-//     strict priority order; every task is handled exactly once.
-//   - RunRelaxed — Algorithms 2 and 4 in the paper's sequential model: a
-//     (possibly relaxed) scheduler delivers tasks, blocked tasks are
-//     re-inserted ("failed deletes"), dead tasks are skipped.
+//   - RunSequential — Algorithm 1: tasks in strict priority order, every
+//     task handled exactly once. It shares nothing with the engine and is
+//     the oracle the other two are tested against.
+//   - RunRelaxed — Algorithms 2 and 4 in the paper's sequential model: the
+//     adapter over RunDynamic.
 //   - RunConcurrent — the shared-memory version used for the paper's Figure 2
-//     experiments: worker goroutines share a concurrent scheduler and
-//     process tasks in parallel, preserving determinism through the same
-//     Blocked checks.
+//     experiments: the adapter over RunDynamicConcurrent.
 //
-// # The dynamic engine
-//
-// Shortest paths, k-core peeling and residual-push PageRank do not fit the
-// framework: their priorities are tentative quantities (distances, degrees,
-// residual mass) that change during the execution, and expansion generates
-// new work. They implement DynamicProblem — a once-per-item staleness check
-// plus an expansion emitting follow-on items through an Emitter — and run on
-// RunDynamic (sequential model) or RunDynamicConcurrent (batched workers
-// with per-worker-balance termination); see dynamic.go and the
-// ExampleRunDynamic godoc. Exactness comes from the problem's monotone state
-// updates, so relaxation costs only stale pops and re-evaluations, never
-// wrong output.
-//
-// Workloads of both families register in internal/workload, which is how the
-// CLIs and the bench harness reach them.
+// Workloads of both contracts register in internal/workload, which is how
+// the CLIs and the bench harness reach them.
 package core
 
 import (
@@ -113,33 +115,21 @@ type Instance interface {
 	Process(v int)
 }
 
-// Policy selects how executors handle a task that is delivered while still
-// blocked on a higher-priority dependency.
+// Policy selects how RunConcurrent handles a task that is delivered while
+// still blocked on a higher-priority dependency.
 type Policy int
 
 const (
 	// Reinsert puts the blocked task back into the scheduler and moves on —
-	// the behaviour of Algorithm 2/4 and the right choice for relaxed
-	// schedulers.
-	Reinsert Policy = iota + 1
+	// the behaviour of Algorithm 2/4, the right choice for relaxed
+	// schedulers, and the zero value.
+	Reinsert Policy = iota
 	// Wait spins until the blocking dependencies resolve — the behaviour of
 	// the paper's exact concurrent framework ("we elect to use a backoff
 	// scheme wherein if an unprocessed predecessor is encountered, we wait
 	// for the predecessor to process").
 	Wait
 )
-
-// String returns the policy name.
-func (p Policy) String() string {
-	switch p {
-	case Reinsert:
-		return "reinsert"
-	case Wait:
-		return "wait"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
 
 // Result reports what an execution did. Counters follow the paper's cost
 // model: Iterations counts scheduler deliveries (successful ApproxGetMin
@@ -152,7 +142,7 @@ type Result struct {
 	// DeadSkips is the number of deliveries that found the task dead.
 	DeadSkips int64
 	// FailedDeletes is the number of deliveries that found the task blocked
-	// and re-inserted it (Reinsert policy only).
+	// and re-inserted it (under Wait: only those whose bounded wait ran out).
 	FailedDeletes int64
 	// Waits is the number of deliveries that found the task blocked and
 	// spun until it was released (Wait policy only).
@@ -182,12 +172,15 @@ var (
 	// remained, which means the Problem's dependency structure is cyclic or
 	// its Blocked implementation is inconsistent.
 	ErrStuck = errors.New("core: scheduler empty but unresolved tasks remain")
-	// ErrNoWorkers indicates RunConcurrent was asked to run with fewer than
-	// one worker.
+	// ErrNoWorkers indicates a concurrent execution was asked to run with
+	// fewer than one worker.
 	ErrNoWorkers = errors.New("core: worker count must be at least 1")
+	// ErrNilProblem indicates a nil DynamicProblem.
+	ErrNilProblem = errors.New("core: problem must not be nil")
 	// ErrNilScheduler indicates a nil scheduler or scheduler factory.
 	ErrNilScheduler = errors.New("core: scheduler must not be nil")
-	// ErrBadBatch indicates RunConcurrent was given a negative batch size.
+	// ErrBadBatch indicates a concurrent execution was given a negative batch
+	// size.
 	ErrBadBatch = errors.New("core: batch size must not be negative")
 	// ErrCanceled indicates a concurrent execution was aborted through the
 	// options' Cancel channel before it completed. The problem's state is

@@ -324,7 +324,7 @@ func TestRunConcurrentMatchesSequential(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		mq := multiqueue.NewConcurrent(4*workers, 2000, uint64(workers))
-		res, err := RunConcurrent(p, labels, mq, ConcurrentOptions{Workers: workers})
+		res, err := RunConcurrent(p, labels, mq, Reinsert, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -336,9 +336,6 @@ func TestRunConcurrentMatchesSequential(t *testing.T) {
 			if got[v] != want[v] {
 				t.Fatalf("workers=%d: depth[%d] = %d, want %d", workers, v, got[v], want[v])
 			}
-		}
-		if len(res.Workers) != workers {
-			t.Fatalf("workers=%d: got %d worker results", workers, len(res.Workers))
 		}
 	}
 }
@@ -354,7 +351,7 @@ func TestRunConcurrentExactFIFOWithWaitPolicy(t *testing.T) {
 	want := seqRes.Instance.(*depthInstance).depth
 
 	q := faaqueue.New(1000)
-	res, err := RunConcurrent(p, labels, q, ConcurrentOptions{Workers: 4, BlockedPolicy: Wait})
+	res, err := RunConcurrent(p, labels, q, Wait, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +375,7 @@ func TestRunConcurrentKillerDeterministic(t *testing.T) {
 
 	for trial := 0; trial < 3; trial++ {
 		mq := multiqueue.NewConcurrent(16, 1500, uint64(trial))
-		res, err := RunConcurrent(p, labels, mq, ConcurrentOptions{Workers: 8})
+		res, err := RunConcurrent(p, labels, mq, Reinsert, Options{Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,14 +394,14 @@ func TestRunConcurrentKillerDeterministic(t *testing.T) {
 func TestRunConcurrentOptionValidation(t *testing.T) {
 	p := newDepthProblem(2, nil)
 	labels := IdentityLabels(2)
-	if _, err := RunConcurrent(p, labels, nil, ConcurrentOptions{Workers: 1}); !errors.Is(err, ErrNilScheduler) {
+	if _, err := RunConcurrent(p, labels, nil, Reinsert, Options{Workers: 1}); !errors.Is(err, ErrNilScheduler) {
 		t.Fatalf("expected ErrNilScheduler, got %v", err)
 	}
 	mq := multiqueue.NewConcurrent(2, 2, 1)
-	if _, err := RunConcurrent(p, labels, mq, ConcurrentOptions{Workers: 0}); !errors.Is(err, ErrNoWorkers) {
+	if _, err := RunConcurrent(p, labels, mq, Reinsert, Options{Workers: 0}); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("expected ErrNoWorkers, got %v", err)
 	}
-	if _, err := RunConcurrent(p, []uint32{0, 0}, mq, ConcurrentOptions{Workers: 1}); !errors.Is(err, ErrBadPermutation) {
+	if _, err := RunConcurrent(p, []uint32{0, 0}, mq, Reinsert, Options{Workers: 1}); !errors.Is(err, ErrBadPermutation) {
 		t.Fatalf("expected ErrBadPermutation, got %v", err)
 	}
 }
@@ -420,7 +417,7 @@ func TestRunConcurrentSingleWorkerWithLockedScheduler(t *testing.T) {
 	want := seqRes.Instance.(*depthInstance).depth
 
 	s := sched.NewLocked(topk.New(16, 500, rng.New(1)))
-	res, err := RunConcurrent(p, labels, s, ConcurrentOptions{Workers: 1})
+	res, err := RunConcurrent(p, labels, s, Reinsert, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,15 +426,6 @@ func TestRunConcurrentSingleWorkerWithLockedScheduler(t *testing.T) {
 		if got[v] != want[v] {
 			t.Fatalf("depth[%d] = %d, want %d", v, got[v], want[v])
 		}
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if Reinsert.String() != "reinsert" || Wait.String() != "wait" {
-		t.Fatal("policy names wrong")
-	}
-	if Policy(99).String() == "" {
-		t.Fatal("unknown policy string empty")
 	}
 }
 
@@ -486,7 +474,7 @@ func TestConcurrentExecutorIsRaceFreeUnderStress(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			mq := multiqueue.NewConcurrent(8, 800, uint64(i))
-			if _, err := RunConcurrent(p, labels, mq, ConcurrentOptions{Workers: 4}); err != nil {
+			if _, err := RunConcurrent(p, labels, mq, Reinsert, Options{Workers: 4}); err != nil {
 				t.Error(err)
 			}
 		}(i)

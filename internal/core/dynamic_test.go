@@ -82,7 +82,7 @@ func TestRunDynamicConcurrentCountdownAcrossSchedulers(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			for _, batch := range []int{1, 3, 0} {
 				prob := &countdownProblem{}
-				res, err := RunDynamicConcurrent(prob, countdownSeeds(n, p), factory(), DynamicOptions{
+				res, err := RunDynamicConcurrent(prob, countdownSeeds(n, p), factory(), Options{
 					Workers:   workers,
 					BatchSize: batch,
 				})
@@ -91,20 +91,10 @@ func TestRunDynamicConcurrentCountdownAcrossSchedulers(t *testing.T) {
 				}
 				if res.Pops != wantPops || res.Emitted != wantPops-n {
 					t.Fatalf("%s workers=%d batch=%d: stats %+v, want %d pops",
-						name, workers, batch, res.DynamicStats, wantPops)
+						name, workers, batch, res, wantPops)
 				}
 				if got := prob.expanded.Load(); got != wantPops {
 					t.Fatalf("%s workers=%d batch=%d: expanded %d, want %d", name, workers, batch, got, wantPops)
-				}
-				if len(res.Workers) != workers {
-					t.Fatalf("%s: %d worker results, want %d", name, len(res.Workers), workers)
-				}
-				var pops int64
-				for _, w := range res.Workers {
-					pops += w.Pops
-				}
-				if pops != res.Pops {
-					t.Fatalf("%s: per-worker pops %d do not sum to total %d", name, pops, res.Pops)
 				}
 			}
 		}
@@ -140,12 +130,12 @@ func TestDynamicStalePopsCounted(t *testing.T) {
 	}
 
 	prob = &onceProblem{done: make([]atomic.Bool, n)}
-	res, err := RunDynamicConcurrent(prob, seeds, multiqueue.NewConcurrent(4, n, 7), DynamicOptions{Workers: 4})
+	res, err := RunDynamicConcurrent(prob, seeds, multiqueue.NewConcurrent(4, n, 7), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Pops != 2*n || res.StalePops != n {
-		t.Fatalf("concurrent stats %+v, want %d pops with %d stale", res.DynamicStats, 2*n, n)
+		t.Fatalf("concurrent stats %+v, want %d pops with %d stale", res, 2*n, n)
 	}
 }
 
@@ -169,12 +159,12 @@ func TestDynamicDoneStopsEarly(t *testing.T) {
 	}
 
 	prob = &haltingProblem{limit: 5}
-	res, err := RunDynamicConcurrent(prob, countdownSeeds(100, 50), multiqueue.NewConcurrent(8, 100, 1), DynamicOptions{Workers: 2})
+	res, err := RunDynamicConcurrent(prob, countdownSeeds(100, 50), multiqueue.NewConcurrent(8, 100, 1), Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Pops >= 100*51 {
-		t.Fatalf("concurrent Done did not stop the execution early: %+v", res.DynamicStats)
+		t.Fatalf("concurrent Done did not stop the execution early: %+v", res)
 	}
 }
 
@@ -187,16 +177,16 @@ func TestDynamicValidation(t *testing.T) {
 	if _, err := RunDynamic(prob, seeds, nil); !errors.Is(err, ErrNilScheduler) {
 		t.Fatalf("nil scheduler: err = %v", err)
 	}
-	if _, err := RunDynamicConcurrent(nil, seeds, faaqueue.New(4), DynamicOptions{Workers: 1}); !errors.Is(err, ErrNilProblem) {
+	if _, err := RunDynamicConcurrent(nil, seeds, faaqueue.New(4), Options{Workers: 1}); !errors.Is(err, ErrNilProblem) {
 		t.Fatalf("nil problem: err = %v", err)
 	}
-	if _, err := RunDynamicConcurrent(prob, seeds, nil, DynamicOptions{Workers: 1}); !errors.Is(err, ErrNilScheduler) {
+	if _, err := RunDynamicConcurrent(prob, seeds, nil, Options{Workers: 1}); !errors.Is(err, ErrNilScheduler) {
 		t.Fatalf("nil scheduler: err = %v", err)
 	}
-	if _, err := RunDynamicConcurrent(prob, seeds, faaqueue.New(4), DynamicOptions{Workers: 0}); !errors.Is(err, ErrNoWorkers) {
+	if _, err := RunDynamicConcurrent(prob, seeds, faaqueue.New(4), Options{Workers: 0}); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("zero workers: err = %v", err)
 	}
-	if _, err := RunDynamicConcurrent(prob, seeds, faaqueue.New(4), DynamicOptions{Workers: 1, BatchSize: -1}); !errors.Is(err, ErrBadBatch) {
+	if _, err := RunDynamicConcurrent(prob, seeds, faaqueue.New(4), Options{Workers: 1, BatchSize: -1}); !errors.Is(err, ErrBadBatch) {
 		t.Fatalf("negative batch: err = %v", err)
 	}
 }
@@ -206,9 +196,9 @@ func TestDynamicEmptySeeds(t *testing.T) {
 	if err != nil || st.Pops != 0 {
 		t.Fatalf("empty sequential run: %+v, %v", st, err)
 	}
-	res, err := RunDynamicConcurrent(&countdownProblem{}, nil, faaqueue.New(1), DynamicOptions{Workers: 4})
+	res, err := RunDynamicConcurrent(&countdownProblem{}, nil, faaqueue.New(1), Options{Workers: 4})
 	if err != nil || res.Pops != 0 {
-		t.Fatalf("empty concurrent run: %+v, %v", res.DynamicStats, err)
+		t.Fatalf("empty concurrent run: %+v, %v", res, err)
 	}
 }
 
@@ -216,11 +206,11 @@ func TestEmitterReset(t *testing.T) {
 	em := &Emitter{}
 	em.Emit(1, 2)
 	em.Emit(3, 4)
-	if em.Len() != 2 || em.Items()[1] != (sched.Item{Task: 3, Priority: 4}) {
-		t.Fatalf("unexpected emitter contents %v", em.Items())
+	if len(em.items) != 2 || em.items[1] != (sched.Item{Task: 3, Priority: 4}) {
+		t.Fatalf("unexpected emitter contents %v", em.items)
 	}
 	em.Reset()
-	if em.Len() != 0 {
-		t.Fatalf("Len = %d after Reset", em.Len())
+	if len(em.items) != 0 {
+		t.Fatalf("%d items after Reset", len(em.items))
 	}
 }

@@ -37,32 +37,6 @@ func TestExtraIterationsArithmetic(t *testing.T) {
 	}
 }
 
-func TestConcurrentResultWorkerAggregation(t *testing.T) {
-	// The per-worker counters must sum to the totals reported in the
-	// embedded Result.
-	r := rng.New(61)
-	p := randomDepthProblem(1500, 6000, r)
-	labels := RandomLabels(1500, r)
-	mq := multiqueue.NewConcurrent(8, 1500, 3)
-	res, err := RunConcurrent(p, labels, mq, ConcurrentOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var processed, failed, skips, waits int64
-	for _, w := range res.Workers {
-		processed += w.Processed
-		failed += w.FailedDeletes
-		skips += w.DeadSkips
-		waits += w.Waits
-	}
-	if processed != res.Processed || failed != res.FailedDeletes || skips != res.DeadSkips || waits != res.Waits {
-		t.Fatalf("worker counters do not sum to totals: %+v vs %+v", res.Workers, res.Result)
-	}
-	if res.Iterations != res.Processed+res.DeadSkips+res.FailedDeletes {
-		t.Fatalf("iteration identity violated: %+v", res.Result)
-	}
-}
-
 func TestRunRelaxedEmptyProblem(t *testing.T) {
 	p := newDepthProblem(0, nil)
 	res, err := RunRelaxed(p, nil, topk.New(4, 0, rng.New(1)))
@@ -72,12 +46,12 @@ func TestRunRelaxedEmptyProblem(t *testing.T) {
 	if res.Iterations != 0 || res.Processed != 0 {
 		t.Fatalf("empty problem produced work: %+v", res)
 	}
-	cres, err := RunConcurrent(p, nil, multiqueue.NewConcurrent(2, 0, 1), ConcurrentOptions{Workers: 2})
+	cres, err := RunConcurrent(p, nil, multiqueue.NewConcurrent(2, 0, 1), Reinsert, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cres.Processed != 0 {
-		t.Fatalf("empty concurrent problem produced work: %+v", cres.Result)
+		t.Fatalf("empty concurrent problem produced work: %+v", cres)
 	}
 }
 

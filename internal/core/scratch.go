@@ -6,34 +6,30 @@ import (
 	"relaxsched/internal/sched"
 )
 
-// Every executor worker needs the same small buffer set: a pop buffer sized
-// to the batch, an emitter (dynamic family) or re-insert buffer (static
-// family), and nothing else. These used to be allocated fresh per worker per
-// run, which is invisible for one long execution but is measurable churn for
-// callers that run many executions back to back — benchmark trial loops and
-// the relaxd worker pool both re-enter the executors at high rate. The
+// Every engine worker needs the same small buffer set: a pop buffer sized to
+// the batch and an emitter, and nothing else. Allocating them fresh per
+// worker per run is invisible for one long execution but is measurable churn
+// for callers that run many executions back to back — benchmark trial loops
+// and the relaxd worker pool both re-enter the engine at high rate. The
 // buffers hold only sched.Item values (no pointers), so pooling them across
 // runs is safe and keeps steady-state executions allocation-free: after
 // warm-up a run reuses a previous run's buffers at their high-water
-// capacity. scratch_test.go pins the zero-alloc property for both families.
+// capacity. scratch_test.go pins the zero-alloc property for both contracts.
 
-// workerScratch is one executor worker's pooled buffer set.
+// workerScratch is one engine worker's pooled buffer set. The sequential
+// engine borrows one too, for its emitter.
 type workerScratch struct {
 	// buf is the pop buffer; its length is the worker's current batch size.
 	buf []sched.Item
-	// aux is the static family's re-insert buffer (length 0, capacity
-	// retained). The dynamic family leaves it untouched.
-	aux []sched.Item
-	// em is the dynamic family's emitter; its storage capacity is retained
-	// across runs.
+	// em is the emitter; its storage capacity is retained across runs.
 	em Emitter
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(workerScratch) }}
 
-// getScratch returns a worker scratch whose pop buffer has length batch.
-// Buffers retain the capacity they reached in previous runs; the emitter's
-// Worker index and contents are left for the caller to set.
+// getScratch returns a worker scratch whose pop buffer has length batch and
+// whose emitter is empty, at worker index 0 with no requeues counted.
+// Buffers retain the capacity they reached in previous runs.
 func getScratch(batch int) *workerScratch {
 	sc := scratchPool.Get().(*workerScratch)
 	if cap(sc.buf) < batch {
@@ -46,22 +42,6 @@ func getScratch(batch int) *workerScratch {
 // putScratch returns a scratch to the pool. The caller must be done with
 // every slice that aliases it (including the emitter's storage).
 func putScratch(sc *workerScratch) {
-	sc.em.Reset()
-	sc.aux = sc.aux[:0]
+	sc.em = Emitter{items: sc.em.items[:0]}
 	scratchPool.Put(sc)
 }
-
-// emitterPool recycles the sequential engine's emitter across RunDynamic
-// calls, for the same reason as workerScratch: one sequential execution
-// allocates one emitter, but sweep harnesses and the job service run
-// sequential executions in tight loops.
-var emitterPool = sync.Pool{New: func() any { return new(Emitter) }}
-
-func getEmitter() *Emitter {
-	em := emitterPool.Get().(*Emitter)
-	em.Worker = 0
-	em.Reset()
-	return em
-}
-
-func putEmitter(em *Emitter) { emitterPool.Put(em) }

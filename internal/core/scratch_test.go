@@ -10,8 +10,8 @@ import (
 
 // TestScratchCycleDoesNotAllocate pins the pooled buffer set itself: after
 // warm-up, a get/use/put cycle at a stable batch size performs zero
-// allocations, including emitter traffic and re-insert appends within the
-// warmed capacity.
+// allocations, including emitter traffic (the dynamic contract's Emit and
+// the static adapter's Requeue) within the warmed capacity.
 func TestScratchCycleDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode randomly bypasses sync.Pool; alloc counts are not meaningful")
@@ -21,7 +21,7 @@ func TestScratchCycleDoesNotAllocate(t *testing.T) {
 	sc := getScratch(batch)
 	for i := 0; i < batch; i++ {
 		sc.em.Emit(int32(i), uint32(i))
-		sc.aux = append(sc.aux, sched.Item{Task: int32(i)})
+		sc.em.Requeue(int32(i), uint32(i))
 	}
 	putScratch(sc)
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -30,7 +30,7 @@ func TestScratchCycleDoesNotAllocate(t *testing.T) {
 		for i := 0; i < batch; i++ {
 			sc.buf[i] = sched.Item{Task: int32(i), Priority: uint32(i)}
 			sc.em.Emit(int32(i), uint32(i))
-			sc.aux = append(sc.aux, sc.buf[i])
+			sc.em.Requeue(sc.buf[i].Task, sc.buf[i].Priority)
 		}
 		putScratch(sc)
 	}); allocs > 0 {
@@ -38,31 +38,10 @@ func TestScratchCycleDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestEmitterCycleDoesNotAllocate pins the sequential engine's emitter pool.
-func TestEmitterCycleDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race mode randomly bypasses sync.Pool; alloc counts are not meaningful")
-	}
-	em := getEmitter()
-	for i := 0; i < 32; i++ {
-		em.Emit(int32(i), uint32(i))
-	}
-	putEmitter(em)
-	if allocs := testing.AllocsPerRun(100, func() {
-		em := getEmitter()
-		for i := 0; i < 32; i++ {
-			em.Emit(int32(i), uint32(i))
-		}
-		putEmitter(em)
-	}); allocs > 0 {
-		t.Fatalf("warm emitter cycle allocates %.1f per run, want 0", allocs)
-	}
-}
-
 // TestRunDynamicSteadyStateZeroAllocs runs the full sequential dynamic engine
 // back to back, the way sweep harnesses and the job service do, and requires
-// the steady state to be allocation-free: the emitter comes from the pool and
-// a drained exact heap retains its storage.
+// the steady state to be allocation-free: the emitter comes from the scratch
+// pool and a drained exact heap retains its storage.
 func TestRunDynamicSteadyStateZeroAllocs(t *testing.T) {
 	const n, p = 32, 7
 	heap := exactheap.New(n * 2)
@@ -102,11 +81,11 @@ func (p *workerRecorder) Expand(task int32, priority uint32, em *Emitter) {
 func TestPooledEmitterWorkerIndexReset(t *testing.T) {
 	const n, p = 64, 5
 	wide := &workerRecorder{}
-	if _, err := RunDynamicConcurrent(wide, countdownSeeds(n, p), sched.NewLocked(exactheap.New(n)), DynamicOptions{Workers: 4}); err != nil {
+	if _, err := RunDynamicConcurrent(wide, countdownSeeds(n, p), sched.NewLocked(exactheap.New(n)), Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	narrow := &workerRecorder{}
-	if _, err := RunDynamicConcurrent(narrow, countdownSeeds(n, p), sched.NewLocked(exactheap.New(n)), DynamicOptions{Workers: 1}); err != nil {
+	if _, err := RunDynamicConcurrent(narrow, countdownSeeds(n, p), sched.NewLocked(exactheap.New(n)), Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for w := 1; w < len(narrow.seen); w++ {

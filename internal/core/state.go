@@ -2,6 +2,13 @@ package core
 
 import "relaxsched/internal/bitset"
 
+// execState is what the static adapter needs of a State implementation: the
+// read view problems query plus the executor's own processed mark.
+type execState interface {
+	State
+	markProcessed(v int)
+}
+
 // seqState is the State implementation used by the single-threaded executors.
 type seqState struct {
 	labels    []uint32

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync/atomic"
 
 	"relaxsched/internal/sched"
@@ -37,8 +38,8 @@ func (t *TunableOptions) SetBatch(batch int) {
 	if batch < 1 {
 		batch = 1
 	}
-	if batch > int(int32(^uint32(0)>>1)) {
-		batch = int(int32(^uint32(0) >> 1))
+	if batch > math.MaxInt32 {
+		batch = math.MaxInt32
 	}
 	t.batch.Store(int32(batch))
 }
@@ -46,17 +47,18 @@ func (t *TunableOptions) SetBatch(batch int) {
 // Batch returns the current batch-size target.
 func (t *TunableOptions) Batch() int { return int(t.batch.Load()) }
 
-// episodeBatch is the per-episode re-read both executor families perform:
-// it returns the worker's pop buffer, re-sized only when the tunable target
-// actually moved (the common case is no change, costing one atomic load).
-// A nil tunable returns the buffer unchanged, keeping the static
-// configuration path untouched.
+// episodeBatch is the per-episode re-read an engine worker performs: it
+// returns the worker's pop buffer, re-sized only when the tunable target
+// actually moved (the common case is no change, costing one atomic load) and
+// re-allocated only to grow past the capacity it already has. A nil tunable
+// returns the buffer unchanged, keeping the fixed-BatchSize path untouched.
 func episodeBatch(tun *TunableOptions, buf []sched.Item) []sched.Item {
 	if tun == nil {
 		return buf
 	}
-	if b := tun.Batch(); b != len(buf) {
+	b := tun.Batch()
+	if b > cap(buf) {
 		return make([]sched.Item, b)
 	}
-	return buf
+	return buf[:b]
 }

@@ -38,8 +38,18 @@ func TestEpisodeBatchResizesOnlyOnChange(t *testing.T) {
 	}
 	tun.SetBatch(3)
 	got := episodeBatch(tun, buf)
-	if len(got) != 3 {
-		t.Errorf("len after retune = %d, want 3", len(got))
+	if len(got) != 3 || &got[0] != &buf[0] {
+		t.Errorf("shrink to 3: len = %d, reallocated = %v; want a reslice of the same buffer", len(got), &got[0] != &buf[0])
+	}
+	// Regrowing within the pooled capacity must keep the buffer too; only a
+	// target beyond it allocates.
+	tun.SetBatch(8)
+	if got = episodeBatch(tun, got); len(got) != 8 || &got[0] != &buf[0] {
+		t.Errorf("regrow to 8: len = %d, reallocated = %v; want the original buffer", len(got), &got[0] != &buf[0])
+	}
+	tun.SetBatch(9)
+	if got = episodeBatch(tun, got); len(got) != 9 {
+		t.Errorf("grow past capacity: len = %d, want 9", len(got))
 	}
 }
 
@@ -70,7 +80,7 @@ func TestRunConcurrentTunableRetunedMidRun(t *testing.T) {
 	}()
 
 	mq := multiqueue.NewConcurrent(8, n, 7)
-	res, err := RunConcurrent(p, labels, mq, ConcurrentOptions{Workers: 4, Tunable: tun})
+	res, err := RunConcurrent(p, labels, mq, Reinsert, Options{Workers: 4, Tunable: tun})
 	stop.Store(true)
 	<-done
 	if err != nil {
@@ -104,7 +114,7 @@ func TestRunDynamicConcurrentTunableRetunedMidRun(t *testing.T) {
 	}()
 
 	mq := multiqueue.NewConcurrent(8, n, 3)
-	res, err := RunDynamicConcurrent(prob, countdownSeeds(n, prio), mq, DynamicOptions{Workers: 4, Tunable: tun})
+	res, err := RunDynamicConcurrent(prob, countdownSeeds(n, prio), mq, Options{Workers: 4, Tunable: tun})
 	stop.Store(true)
 	<-done
 	if err != nil {

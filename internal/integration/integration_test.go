@@ -1,7 +1,8 @@
 // Package integration contains cross-cutting tests that exercise the whole
 // pipeline — graph generation, priority permutations, every scheduler family,
-// every algorithm, and both executors — against the sequential oracles. These
-// are the repository's end-to-end determinism and correctness guarantees.
+// every algorithm, and both contracts of the one engine — against the
+// sequential oracles. These are the repository's end-to-end determinism and
+// correctness guarantees.
 package integration
 
 import (
@@ -10,190 +11,18 @@ import (
 	"testing"
 
 	"relaxsched/internal/algos/coloring"
-	"relaxsched/internal/algos/listcontract"
 	"relaxsched/internal/algos/matching"
 	"relaxsched/internal/algos/mis"
-	"relaxsched/internal/algos/shuffle"
 	"relaxsched/internal/algos/sssp"
 	"relaxsched/internal/core"
 	"relaxsched/internal/graph"
 	"relaxsched/internal/rng"
 	"relaxsched/internal/sched"
-	"relaxsched/internal/sched/exactheap"
-	"relaxsched/internal/sched/faaqueue"
 	"relaxsched/internal/sched/kbounded"
 	"relaxsched/internal/sched/multiqueue"
 	"relaxsched/internal/sched/spraylist"
 	"relaxsched/internal/sched/topk"
 )
-
-// sequentialSchedulers returns one instance of every sequential-model
-// scheduler family at the given relaxation factor.
-func sequentialSchedulers(k, capacity int, seed uint64) map[string]sched.Scheduler {
-	r := rng.New(seed)
-	return map[string]sched.Scheduler{
-		"exactheap":  exactheap.New(capacity),
-		"topk":       topk.New(k, capacity, r.Fork()),
-		"multiqueue": multiqueue.NewSequential(k, capacity, r.Fork()),
-		"spraylist":  spraylist.New(k, r.Fork()),
-		"kbounded":   kbounded.New(k, capacity),
-	}
-}
-
-// concurrentSchedulers returns one instance of every concurrent scheduler
-// configuration used in the experiments.
-func concurrentSchedulers(capacity, workers int, seed uint64) map[string]sched.Concurrent {
-	r := rng.New(seed)
-	return map[string]sched.Concurrent{
-		"multiqueue":        multiqueue.NewConcurrent(4*workers, capacity, seed),
-		"faaqueue":          faaqueue.New(capacity),
-		"locked-topk":       sched.NewLocked(topk.New(16, capacity, r.Fork())),
-		"locked-exact-heap": sched.NewLocked(exactheap.New(capacity)),
-	}
-}
-
-func TestFullMatrixGraphAlgorithmsSequentialModel(t *testing.T) {
-	// Every graph algorithm × every sequential-model scheduler family must
-	// reproduce the sequential greedy output on several random graphs.
-	r := rng.New(1234)
-	for trial := 0; trial < 3; trial++ {
-		n := 150 + r.Intn(250)
-		maxM := int64(n) * int64(n-1) / 2
-		m := int64(r.Intn(int(maxM / 3)))
-		g, err := graph.GNM(n, m, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vertexLabels := core.RandomLabels(n, r)
-		edgeLabels := core.RandomLabels(int(g.NumEdges()), r)
-
-		wantMIS := mis.Sequential(g, vertexLabels)
-		wantColors := coloring.Sequential(g, vertexLabels)
-		wantMatching := matching.Sequential(g, edgeLabels)
-
-		for name, s := range sequentialSchedulers(8, n, uint64(trial)) {
-			gotMIS, _, err := mis.RunRelaxed(g, vertexLabels, s)
-			if err != nil {
-				t.Fatalf("trial %d mis/%s: %v", trial, name, err)
-			}
-			if !mis.Equal(gotMIS, wantMIS) {
-				t.Fatalf("trial %d mis/%s: output differs from sequential", trial, name)
-			}
-		}
-		for name, s := range sequentialSchedulers(8, n, uint64(trial)+100) {
-			gotColors, _, err := coloring.RunRelaxed(g, vertexLabels, s)
-			if err != nil {
-				t.Fatalf("trial %d coloring/%s: %v", trial, name, err)
-			}
-			if !coloring.Equal(gotColors, wantColors) {
-				t.Fatalf("trial %d coloring/%s: output differs from sequential", trial, name)
-			}
-		}
-		for name, s := range sequentialSchedulers(8, int(g.NumEdges())+1, uint64(trial)+200) {
-			gotMatching, _, err := matching.RunRelaxed(g, edgeLabels, s)
-			if err != nil {
-				t.Fatalf("trial %d matching/%s: %v", trial, name, err)
-			}
-			if !matching.Equal(gotMatching, wantMatching) {
-				t.Fatalf("trial %d matching/%s: output differs from sequential", trial, name)
-			}
-		}
-	}
-}
-
-func TestFullMatrixConcurrentSchedulers(t *testing.T) {
-	// MIS under every concurrent scheduler configuration and several worker
-	// counts must reproduce the sequential output, with the appropriate
-	// blocked-task policy for exact FIFOs.
-	r := rng.New(99)
-	const n = 1200
-	g, err := graph.GNM(n, 7000, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := core.RandomLabels(n, r)
-	want := mis.Sequential(g, labels)
-
-	for _, workers := range []int{1, 3, 8} {
-		for name, s := range concurrentSchedulers(n, workers, uint64(workers)) {
-			policy := core.Reinsert
-			if name == "faaqueue" {
-				policy = core.Wait
-			}
-			got, res, err := mis.RunConcurrent(g, labels, s, core.ConcurrentOptions{Workers: workers, BlockedPolicy: policy})
-			if err != nil {
-				t.Fatalf("%s/workers=%d: %v", name, workers, err)
-			}
-			if !mis.Equal(got, want) {
-				t.Fatalf("%s/workers=%d: concurrent MIS differs from sequential", name, workers)
-			}
-			if err := mis.Verify(g, got); err != nil {
-				t.Fatalf("%s/workers=%d: %v", name, workers, err)
-			}
-			if res.Processed+res.DeadSkips != int64(n) {
-				t.Fatalf("%s/workers=%d: task accounting off: %+v", name, workers, res.Result)
-			}
-		}
-	}
-}
-
-func TestBatchedExecutionMatchesSequential(t *testing.T) {
-	// The regression net for the batched executor: MIS, coloring and
-	// matching, executed with batched deliveries over both a natively
-	// batched scheduler (MultiQueue) and the coarse-locked Batcher path
-	// (k-bounded), must reproduce the sequential output bit for bit at
-	// every batch size.
-	r := rng.New(4242)
-	const n = 1000
-	g, err := graph.GNM(n, 6000, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vertexLabels := core.RandomLabels(n, r)
-	edgeLabels := core.RandomLabels(int(g.NumEdges()), r)
-
-	wantMIS := mis.Sequential(g, vertexLabels)
-	wantColors := coloring.Sequential(g, vertexLabels)
-	wantMatching := matching.Sequential(g, edgeLabels)
-
-	schedulers := func(capacity int, seed uint64) map[string]sched.Concurrent {
-		return map[string]sched.Concurrent{
-			"multiqueue":      multiqueue.NewConcurrent(16, capacity, seed),
-			"locked-kbounded": sched.NewLocked(kbounded.New(16, capacity)),
-		}
-	}
-
-	for _, batch := range []int{1, 16, 64} {
-		opts := core.ConcurrentOptions{Workers: 4, BatchSize: batch}
-		for name, s := range schedulers(n, uint64(batch)) {
-			got, _, err := mis.RunConcurrent(g, vertexLabels, s, opts)
-			if err != nil {
-				t.Fatalf("mis/%s batch=%d: %v", name, batch, err)
-			}
-			if !mis.Equal(got, wantMIS) {
-				t.Fatalf("mis/%s batch=%d: output differs from sequential", name, batch)
-			}
-		}
-		for name, s := range schedulers(n, uint64(batch)+50) {
-			got, _, err := coloring.RunConcurrent(g, vertexLabels, s, opts)
-			if err != nil {
-				t.Fatalf("coloring/%s batch=%d: %v", name, batch, err)
-			}
-			if !coloring.Equal(got, wantColors) {
-				t.Fatalf("coloring/%s batch=%d: output differs from sequential", name, batch)
-			}
-		}
-		for name, s := range schedulers(int(g.NumEdges()), uint64(batch)+100) {
-			got, _, err := matching.RunConcurrent(g, edgeLabels, s, opts)
-			if err != nil {
-				t.Fatalf("matching/%s batch=%d: %v", name, batch, err)
-			}
-			if !matching.Equal(got, wantMatching) {
-				t.Fatalf("matching/%s batch=%d: output differs from sequential", name, batch)
-			}
-		}
-	}
-}
 
 func TestEndToEndFileRoundTripPipeline(t *testing.T) {
 	// Generate -> serialize -> parse -> solve (all algorithms) -> verify:
@@ -294,7 +123,7 @@ func TestDefinitionOneHoldsForConcurrentMultiQueue(t *testing.T) {
 			inner := multiqueue.NewConcurrent(queues, n, 17)
 			instrumented := sched.NewConcurrentInstrumented(inner, n)
 			got, _, err := mis.RunConcurrent(g, labels, instrumented,
-				core.ConcurrentOptions{Workers: workers, BatchSize: tc.batch})
+				core.Reinsert, core.Options{Workers: workers, BatchSize: tc.batch})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -368,77 +197,6 @@ func TestTheoremScalingShapes(t *testing.T) {
 	dense := coloringExtra(60000)
 	if dense < 3*sparse {
 		t.Fatalf("Theorem 1 shape violated: extra iterations did not grow with density (%.1f at m=n vs %.1f at m=40n)", sparse, dense)
-	}
-}
-
-func TestNonGraphWorkloadsEndToEnd(t *testing.T) {
-	// List contraction and Knuth shuffle through every scheduler family and
-	// the concurrent executor.
-	r := rng.New(2020)
-	const n = 800
-	lcProblem := listcontract.NewRandomList(n, r)
-	lcLabels := core.RandomLabels(n, r)
-	wantPrev, wantNext := listcontract.Sequential(lcProblem, lcLabels)
-
-	targets := shuffle.RandomTargets(n, r)
-	wantPerm := shuffle.Sequential(targets)
-
-	for name, s := range sequentialSchedulers(8, n, 55) {
-		gotPrev, gotNext, _, err := listcontract.RunRelaxed(lcProblem, lcLabels, s)
-		if err != nil {
-			t.Fatalf("listcontract/%s: %v", name, err)
-		}
-		if !listcontract.Equal(gotPrev, gotNext, wantPrev, wantNext) {
-			t.Fatalf("listcontract/%s: output differs", name)
-		}
-	}
-	for name, s := range sequentialSchedulers(8, n, 56) {
-		gotPerm, _, err := shuffle.RunRelaxed(targets, s)
-		if err != nil {
-			t.Fatalf("shuffle/%s: %v", name, err)
-		}
-		if !shuffle.Equal(gotPerm, wantPerm) {
-			t.Fatalf("shuffle/%s: output differs", name)
-		}
-	}
-
-	mq := multiqueue.NewConcurrent(8, n, 3)
-	gotPrev, gotNext, _, err := listcontract.RunConcurrent(lcProblem, lcLabels, mq, core.ConcurrentOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !listcontract.Equal(gotPrev, gotNext, wantPrev, wantNext) {
-		t.Fatal("concurrent list contraction differs from sequential")
-	}
-	gotPerm, _, err := shuffle.RunConcurrent(targets, faaqueue.New(n), core.ConcurrentOptions{Workers: 4, BlockedPolicy: core.Wait})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !shuffle.Equal(gotPerm, wantPerm) {
-		t.Fatal("concurrent shuffle differs from sequential")
-	}
-}
-
-func TestRepeatedConcurrentRunsAreStable(t *testing.T) {
-	// The same configuration run many times must always give the same
-	// answer — a regression net for subtle scheduling races.
-	r := rng.New(404)
-	const n = 900
-	g, err := graph.GNM(n, 5400, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := core.RandomLabels(n, r)
-	want := mis.Sequential(g, labels)
-	for i := 0; i < 10; i++ {
-		mq := multiqueue.NewConcurrent(8, n, uint64(i))
-		got, _, err := mis.RunConcurrent(g, labels, mq, core.ConcurrentOptions{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !mis.Equal(got, want) {
-			t.Fatalf("run %d differs from sequential MIS", i)
-		}
 	}
 }
 

@@ -17,7 +17,13 @@ type vecOutput[T any] struct {
 func (o *vecOutput[T]) Fingerprint() uint64 { return o.fingerprint }
 func (o *vecOutput[T]) Summary() string     { return o.summary }
 
-// staticInstance adapts a static-framework workload — a core.Problem plus a
+// engine returns the options the core engine takes; Policy is not among
+// them, it configures the static adapter.
+func (o ConcOptions) engine() core.Options {
+	return core.Options{Workers: o.Workers, BatchSize: o.BatchSize, Cancel: o.Cancel, Tunable: o.Tunable}
+}
+
+// staticInstance adapts a static-contract workload — a core.Problem plus a
 // priority permutation — to the Instance interface. The per-workload files
 // supply only the closures that differ: the sequential baseline, the
 // output/fingerprint extraction, and the semantic verifier.
@@ -54,21 +60,11 @@ func (si *staticInstance) RunRelaxed(s sched.Scheduler) (Output, Cost, error) {
 }
 
 func (si *staticInstance) RunConcurrent(s sched.Concurrent, opts ConcOptions) (Output, Cost, error) {
-	policy := opts.Policy
-	if policy == 0 {
-		policy = core.Reinsert
-	}
-	res, err := core.RunConcurrent(si.problem, si.labels, s, core.ConcurrentOptions{
-		Workers:       opts.Workers,
-		BlockedPolicy: policy,
-		BatchSize:     opts.BatchSize,
-		Cancel:        opts.Cancel,
-		Tunable:       opts.Tunable,
-	})
+	res, err := core.RunConcurrent(si.problem, si.labels, s, opts.Policy, opts.engine())
 	if err != nil {
 		return nil, Cost{}, err
 	}
-	return si.output(res.Instance), staticCost(res.Result), nil
+	return si.output(res.Instance), staticCost(res), nil
 }
 
 func (si *staticInstance) Verify(out Output) error { return si.verify(out) }
@@ -77,14 +73,14 @@ func (si *staticInstance) Matches(reference, got Output) error {
 	return fingerprintMatch("determinism", reference, got)
 }
 
-// dynamicInstance adapts a dynamic-priority workload to the Instance
+// dynamicInstance adapts a dynamic-contract workload to the Instance
 // interface; the per-workload files supply the closures (which wrap the algo
 // package's Run functions and map its stats to the uniform Cost).
 type dynamicInstance struct {
 	numTasks   int
 	sequential func() Output
 	relaxed    func(s sched.Scheduler) (Output, Cost, error)
-	concurrent func(s sched.Concurrent, opts core.DynamicOptions) (Output, Cost, error)
+	concurrent func(s sched.Concurrent, opts core.Options) (Output, Cost, error)
 	verify     func(Output) error
 	// matches overrides the exactness fingerprint comparison for workloads
 	// with approximate (tolerance-bounded) outputs; nil selects fingerprint
@@ -102,12 +98,7 @@ func (di *dynamicInstance) RunRelaxed(s sched.Scheduler) (Output, Cost, error) {
 }
 
 func (di *dynamicInstance) RunConcurrent(s sched.Concurrent, opts ConcOptions) (Output, Cost, error) {
-	return di.concurrent(s, core.DynamicOptions{
-		Workers:   opts.Workers,
-		BatchSize: opts.BatchSize,
-		Cancel:    opts.Cancel,
-		Tunable:   opts.Tunable,
-	})
+	return di.concurrent(s, opts.engine())
 }
 
 func (di *dynamicInstance) Verify(out Output) error { return di.verify(out) }

@@ -51,7 +51,7 @@ func newKCore(g *graph.Graph, p Params) (Instance, error) {
 			}
 			return kcoreOutput(cores), kcoreCost(st), nil
 		},
-		concurrent: func(s sched.Concurrent, opts core.DynamicOptions) (Output, Cost, error) {
+		concurrent: func(s sched.Concurrent, opts core.Options) (Output, Cost, error) {
 			cores, st, err := kcore.RunConcurrent(g, s, opts)
 			if err != nil {
 				return nil, Cost{}, err

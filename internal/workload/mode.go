@@ -143,7 +143,7 @@ type RunResult struct {
 // RunMode binds the workload to a graph and executes it in the given mode,
 // building the mode-appropriate scheduler: sequential baseline, MultiQueue
 // (sequential-model or concurrent), or the exact scheduler matching the
-// workload's executor family.
+// workload's contract.
 func (d *Descriptor) RunMode(g *graph.Graph, cfg RunConfig, p Params) (RunResult, error) {
 	return d.RunModeContext(context.Background(), g, cfg, p)
 }

@@ -62,7 +62,7 @@ func newPageRank(g *graph.Graph, p Params) (Instance, error) {
 			}
 			return pagerankOutput(ranks), prCost(st), nil
 		},
-		concurrent: func(s sched.Concurrent, dopts core.DynamicOptions) (Output, Cost, error) {
+		concurrent: func(s sched.Concurrent, dopts core.Options) (Output, Cost, error) {
 			ranks, st, err := pagerank.RunConcurrent(g, s, dopts, opts)
 			if err != nil {
 				return nil, Cost{}, err

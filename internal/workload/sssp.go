@@ -86,7 +86,7 @@ func newSSSP(g *graph.Graph, p Params) (Instance, error) {
 			}
 			return ssspOutput(dist), ssspCost(st), nil
 		},
-		concurrent: func(s sched.Concurrent, opts core.DynamicOptions) (Output, Cost, error) {
+		concurrent: func(s sched.Concurrent, opts core.Options) (Output, Cost, error) {
 			dist, st, err := sssp.RunConcurrentDelta(g, w, src, s, delta, opts)
 			if err != nil {
 				return nil, Cost{}, err

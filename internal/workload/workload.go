@@ -1,27 +1,29 @@
 // Package workload is the registry that ties the repository's algorithms to
-// its executors, schedulers, CLIs and benchmark harness.
+// the execution engine, schedulers, CLIs and benchmark harness.
 //
 // Every algorithm the repository can run under a scheduler — the static
 // framework workloads (MIS, coloring, matching) and the dynamic-priority
 // workloads (SSSP, k-core, PageRank) — registers one Descriptor here, in its
 // own file of this package. A Descriptor names the workload, states which
-// executor family drives it, describes its input and wasted-work metric, and
-// knows how to bind itself to a graph. Everything downstream — cmd/misrun,
-// cmd/kcorerun, cmd/relaxrun, cmd/relaxbench and internal/bench — dispatches
-// through the registry instead of hand-rolled per-algorithm switches, so
-// adding workload #7 is one new file in this package (see ARCHITECTURE.md
-// for the walkthrough).
+// of the engine's two contracts it implements, describes its input and
+// wasted-work metric, and knows how to bind itself to a graph. Everything
+// downstream — cmd/misrun, cmd/kcorerun, cmd/relaxrun, cmd/relaxbench and
+// internal/bench — dispatches through the registry instead of hand-rolled
+// per-algorithm switches, so adding workload #7 is one new file in this
+// package (see ARCHITECTURE.md for the walkthrough).
 //
-// The two executor families behind Kind:
+// One engine (internal/core), two contracts behind Kind:
 //
-//   - Static: a fixed task set under a static priority permutation, driven
-//     by core.RunRelaxed / core.RunConcurrent. Output is bit-identical to
-//     the sequential algorithm's regardless of scheduler relaxation; wasted
-//     work appears as failed deletes and dead skips.
-//   - Dynamic: tasks carry mutable priorities and generate work at runtime,
-//     driven by core.RunDynamic / core.RunDynamicConcurrent. Exactness comes
-//     from the problem's monotone state updates; wasted work appears as
-//     stale pops and re-evaluations.
+//   - Static: a fixed task set under a static priority permutation — a
+//     core.Problem, run by core.RunRelaxed / core.RunConcurrent, which adapt
+//     it to the engine. Output is bit-identical to the sequential
+//     algorithm's regardless of scheduler relaxation; wasted work appears as
+//     failed deletes and dead skips.
+//   - Dynamic: tasks carry mutable priorities and generate work at runtime —
+//     a core.DynamicProblem, run by core.RunDynamic /
+//     core.RunDynamicConcurrent directly. Exactness comes from the problem's
+//     monotone state updates; wasted work appears as stale pops and
+//     re-evaluations.
 package workload
 
 import (
@@ -34,15 +36,16 @@ import (
 	"relaxsched/internal/sched"
 )
 
-// Kind classifies which executor family drives a workload.
+// Kind classifies which of the engine's contracts a workload implements.
 type Kind int
 
 const (
-	// Static marks fixed-task-set workloads executed by the framework
-	// (core.RunConcurrent) under a static priority permutation.
+	// Static marks fixed-task-set workloads under a static priority
+	// permutation: a core.Problem behind the static adapter
+	// (core.RunConcurrent).
 	Static Kind = iota + 1
-	// Dynamic marks mutable-priority workloads executed by the dynamic
-	// engine (core.RunDynamicConcurrent).
+	// Dynamic marks mutable-priority workloads that implement
+	// core.DynamicProblem themselves (core.RunDynamicConcurrent).
 	Dynamic
 )
 
@@ -110,8 +113,8 @@ type ConcOptions struct {
 	// BatchSize is the executor batch size (0 selects the executor default).
 	BatchSize int
 	// Policy selects how static workloads handle a task delivered while
-	// blocked (0 selects core.Reinsert, the relaxed-scheduler default).
-	// Dynamic workloads ignore it.
+	// blocked (the zero value is core.Reinsert, the relaxed-scheduler
+	// default). Dynamic workloads ignore it.
 	Policy core.Policy
 	// Cancel, when non-nil, aborts the execution when closed (a context's
 	// Done channel fits directly); the run then returns core.ErrCanceled.
@@ -166,7 +169,7 @@ type Instance interface {
 type Descriptor struct {
 	// Name is the registry key, as used by -algo / -workload flags.
 	Name string
-	// Kind states which executor family drives the workload.
+	// Kind states which contract the workload implements.
 	Kind Kind
 	// Brief is a one-line description for CLI listings.
 	Brief string

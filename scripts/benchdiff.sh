@@ -30,7 +30,9 @@
 #   - exactheap insert/pop churn (the storage under every heap-backed family,
 #     including each MultiQueue sub-queue)
 #   - multiqueue scheduler churn (global and worker-affine handle paths)
-#   - concurrent SSSP on the dynamic engine (1 worker: pure hot-loop cost)
+#   - concurrent MIS, the static contract through the engine (1 worker:
+#     pure hot-loop cost, adapter included)
+#   - concurrent SSSP, the dynamic contract (1 worker)
 #   - concurrent PageRank residual pushes (1 worker)
 # One-worker macro variants are pinned because CI containers have one CPU;
 # see EXPERIMENTS.md "Profiling methodology". The gate compares per-benchmark
@@ -75,6 +77,8 @@ run_benches() {
         go test -run '^$' -benchmem -count "$COUNT" \
             -bench 'BenchmarkConcurrentInsertDelete$|BenchmarkWorkerHandle' \
             ./internal/sched/multiqueue/
+        go test -run '^$' -benchtime 1x -count "$MACRO_COUNT" \
+            -bench 'BenchmarkConcurrentMIS/workers=1$' ./internal/algos/mis/
         [ -d internal/algos/sssp ] && go test -run '^$' -benchtime 1x -count "$MACRO_COUNT" \
             -bench 'BenchmarkConcurrentSSSP/workers=1$' ./internal/algos/sssp/
         [ -d internal/algos/pagerank ] && go test -run '^$' -benchtime 1x -count "$MACRO_COUNT" \
