@@ -65,8 +65,9 @@ bench-smoke:
 		-append -json BENCH_concurrent.json \
 		-baseline /tmp/relaxsched-bench-baseline.json -max-regression 0.25
 
-# Old-vs-new benchmark diff over the pinned hot-path set (multiqueue churn,
-# worker-affine handle churn, 1-worker concurrent mis, sssp and pagerank): the
+# Old-vs-new benchmark diff over the pinned hot-path set (sub-queue heap churn
+# and preload-then-drain at executor occupancy, multiqueue churn, worker-affine
+# handle churn, 1-worker concurrent mis, sssp and pagerank): the
 # base ref (BASE, default origin/main) is benchmarked in a throwaway git
 # worktree and compared against the working tree. Fails on a >25% median
 # ns/op regression in any benchmark present in both trees; uses benchstat
@@ -140,11 +141,13 @@ serve-cluster-smoke:
 crash-smoke:
 	RELAXSCHED_SMOKE_CRASH=1 $(GO) test -run '^TestCrash(ReplaySmoke|CompactionChurn)Binary$$' -v ./internal/faultinject/
 
-# 10-second fuzz of the edge-list parser and of the WAL record decoder, as
-# run by CI. (`go test -fuzz` takes one fuzz target per invocation.)
+# 10-second fuzz of the edge-list parser, of the WAL record decoder and of
+# the sub-queue heap against its sorted-slice model, as run by CI. (`go test
+# -fuzz` takes one fuzz target per invocation.)
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadEdgeList -fuzztime=10s -run '^FuzzReadEdgeList$$' ./internal/graph/
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s -run '^FuzzWALDecode$$' ./internal/wal/
+	$(GO) test -fuzz=FuzzHeapMatchesModel -fuzztime=10s -run '^FuzzHeapMatchesModel$$' ./internal/sched/exactheap/
 
 fmt:
 	gofmt -w .

@@ -7,7 +7,7 @@
 // run as an adapter over the engine's dynamic-priority contract
 // (internal/core) — the relaxed priority
 // schedulers it builds on — MultiQueue, SprayList, a deterministic k-bounded
-// queue, an exact binary heap, and a fetch-and-add FIFO baseline
+// queue, an exact heap, and a fetch-and-add FIFO baseline
 // (internal/sched/...) — the graph substrate (internal/graph), and the
 // workloads the paper analyzes plus the extensions it calls for: greedy MIS,
 // maximal matching, greedy coloring, list contraction, Knuth shuffle, and

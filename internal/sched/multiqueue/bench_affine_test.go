@@ -54,3 +54,31 @@ func BenchmarkWorkerHandleInsertDelete(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkWorkerHandlePreloadDrain is the static framework's scheduler
+// traffic at the occupancy the executors run at: n items in label order
+// batch-inserted through a worker handle (core seeds the n tasks that way),
+// then batch-popped until the MultiQueue is empty — about 32 768 items per
+// sub-queue, where the churn benchmarks above hold 64. One operation is one
+// item inserted and popped.
+func BenchmarkWorkerHandlePreloadDrain(b *testing.B) {
+	const n, batch = 1 << 18, 64
+	m := NewConcurrent(8, n, 1)
+	h := m.WorkerHandle(0, 2)
+	items := ascendingItems(n)
+	out := make([]sched.Item, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += n {
+		for lo := 0; lo < n; lo += batch {
+			h.InsertBatch(items[lo : lo+batch])
+		}
+		for drained := 0; drained < n; {
+			got := h.ApproxPopBatch(out)
+			if got == 0 {
+				b.Fatal("lost items")
+			}
+			drained += got
+		}
+	}
+}

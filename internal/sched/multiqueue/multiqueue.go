@@ -12,9 +12,18 @@
 //
 // Two variants are provided: Sequential, the analytical model used by the
 // simulations, and Concurrent, a thread-safe implementation with one mutex
-// and one atomic min-priority hint per sub-queue, following the structure of
-// the paper's C++ implementation (the paper uses 4x as many queues as
-// threads; Concurrent defaults to the same ratio).
+// and one atomic min-hint per sub-queue, following the structure of the
+// paper's C++ implementation (the paper uses 4x as many queues as threads;
+// Concurrent defaults to the same ratio).
+//
+// Every sub-queue is an exactheap.Heap: an exact priority queue over packed
+// sched.Item keys, with an O(1) path for keys that arrive in non-decreasing
+// order (the static framework's preload) and a 4-ary heap for the rest. A
+// sub-queue's hint is its heap's MinKey — the stored minimum itself, so two
+// hints compare exactly as the two items do under Item.Less — and batch
+// operations hand each run or batch to the heap in one call under the
+// sub-queue lock. Sub-queues are sized so that a preload of the capacity the
+// MultiQueue was built for reallocates none of them (see subqueueCapacity).
 package multiqueue
 
 import (
@@ -48,12 +57,26 @@ func NewSequential(c, capacity int, r *rng.Rand) *Sequential {
 	if c < 1 {
 		c = 1
 	}
-	per := capacity/c + 1
+	per := subqueueCapacity(capacity, c)
 	queues := make([]*exactheap.Heap, c)
 	for i := range queues {
 		queues[i] = exactheap.New(per)
 	}
 	return &Sequential{queues: queues, r: r}
+}
+
+// subqueueCapacity is the room each of c sub-queues gets so that capacity
+// items dealt to uniformly random sub-queues fit without any of them
+// reallocating. A sub-queue's share is binomial with mean capacity/c, dealt
+// in runs of up to insertRunLength, so its standard deviation is at most
+// σ = √(insertRunLength·capacity/c); sizing at the mean leaves about half
+// the sub-queues to overflow — and to copy their whole backing array under
+// the sub-queue lock — on every preload. Four σ of slack makes an overflow a
+// 1-in-30 000 event per sub-queue, for a few per cent more memory at
+// executor sizes.
+func subqueueCapacity(capacity, c int) int {
+	mean := float64(capacity) / float64(c)
+	return int(mean+4*math.Sqrt(insertRunLength*mean)) + 1
 }
 
 // SequentialFactory returns a sched.Factory producing MultiQueue models with
@@ -89,33 +112,23 @@ func (m *Sequential) ApproxGetMin() (sched.Item, bool) {
 		if j >= i {
 			j++
 		}
+		// An empty sub-queue reports exactheap.EmptyKey, which compares above
+		// every held key, so one compare also prefers the non-empty queue.
 		qi, qj := m.queues[i], m.queues[j]
-		ti, oki := qi.Peek()
-		tj, okj := qj.Peek()
-		switch {
-		case oki && okj:
-			if ti.Less(tj) {
-				chosen = qi
-			} else {
-				chosen = qj
-			}
-		case oki:
+		if qi.MinKey() < qj.MinKey() {
 			chosen = qi
-		case okj:
+		} else {
 			chosen = qj
 		}
 	}
-	if chosen == nil || chosen.Empty() {
-		// Both sampled queues were empty; scan for any non-empty queue.
+	if chosen.Empty() {
+		// Both sampled queues were empty; size > 0 says another is not.
 		for _, q := range m.queues {
 			if !q.Empty() {
 				chosen = q
 				break
 			}
 		}
-	}
-	if chosen == nil {
-		return sched.Item{}, false
 	}
 	it, ok := chosen.ApproxGetMin()
 	if ok {
@@ -130,13 +143,12 @@ func (m *Sequential) Len() int { return m.size }
 // Empty reports whether the MultiQueue is empty.
 func (m *Sequential) Empty() bool { return m.size == 0 }
 
-// emptyHint is the atomic min-priority hint of an empty sub-queue. It packs
-// (priority, task) so hints are comparable with Item.Less semantics.
-const emptyHint = math.MaxUint64
-
-func packItem(it sched.Item) uint64 {
-	return uint64(it.Priority)<<32 | uint64(uint32(it.Task))
-}
+// emptyHint is the atomic min-key hint of an empty sub-queue. Hints are
+// sched.Item keys — the sub-queue's own stored minimum — so comparing two
+// hints is comparing two items with Item.Less. exactheap.EmptyKey is the key
+// of ⟨math.MaxInt32, math.MaxUint32⟩, which no held item carries (see its
+// comment), so a hint equal to it always means "empty".
+const emptyHint = exactheap.EmptyKey
 
 // Concurrent is the thread-safe MultiQueue. Every sub-queue has its own
 // mutex-protected heap and an atomic hint of its current minimum so that
@@ -194,7 +206,7 @@ func (m *Concurrent) Stats() Stats {
 type concurrentSubqueue struct {
 	mu   sync.Mutex
 	heap *exactheap.Heap
-	top  atomic.Uint64 // packed min item, emptyHint when empty
+	top  atomic.Uint64 // the heap's MinKey whenever mu is free; emptyHint when empty
 	_    [4]uint64     // padding to keep sub-queues on separate cache lines
 }
 
@@ -209,7 +221,7 @@ func NewConcurrent(c, capacity int, seed uint64) *Concurrent {
 		c = 2
 	}
 	mq := &Concurrent{queues: make([]concurrentSubqueue, c)}
-	per := capacity/c + 1
+	per := subqueueCapacity(capacity, c)
 	for i := range mq.queues {
 		mq.queues[i].heap = exactheap.New(per)
 		mq.queues[i].top.Store(emptyHint)
@@ -246,34 +258,26 @@ func (m *Concurrent) Insert(it sched.Item) {
 	q.heap.Insert(it)
 	// The hint equals the heap minimum whenever the lock is free, so after an
 	// insert it only moves if the new item became that minimum — comparing
-	// packed values elides the atomic store (and a heap peek) in the common
+	// keys elides the atomic store (and a heap peek) in the common
 	// case of a non-minimal insert.
-	if p := packItem(it); p < q.top.Load() {
-		q.top.Store(p)
+	if k := it.Key(); k < q.top.Load() {
+		q.top.Store(k)
 	}
 	q.mu.Unlock()
 	m.size.Add(1)
 }
 
 // insertRun pushes a run of items into sub-queue idx under one lock
-// acquisition with one hint update. The shared size counter is NOT updated;
-// callers amortize one size.Add over all their runs.
+// acquisition with one heap call and one hint update. The shared size counter
+// is NOT updated; callers amortize one size.Add over all their runs.
 func (m *Concurrent) insertRun(idx int, run []sched.Item) {
 	q := &m.queues[idx]
-	best := uint64(emptyHint)
-	for _, it := range run {
-		if p := packItem(it); p < best {
-			best = p
-		}
-	}
 	q.mu.Lock()
-	for _, it := range run {
-		q.heap.Insert(it)
-	}
-	// Same elision as Insert: the hint only moves if the run's minimum beats
-	// the pre-insert heap minimum.
-	if best < q.top.Load() {
-		q.top.Store(best)
+	q.heap.InsertBatch(run)
+	// Same elision as Insert: the hint only moves if the run lowered the
+	// heap minimum.
+	if k := q.heap.MinKey(); k < q.top.Load() {
+		q.top.Store(k)
 	}
 	q.mu.Unlock()
 }
@@ -416,20 +420,8 @@ func (m *Concurrent) sampleQueue() int {
 // popBatchFrom pops up to len(out) items from q, whose lock the caller
 // holds, and refreshes the min-hint once at the end.
 func (m *Concurrent) popBatchFrom(q *concurrentSubqueue, out []sched.Item) int {
-	n := 0
-	for n < len(out) {
-		it, ok := q.heap.ApproxGetMin()
-		if !ok {
-			break
-		}
-		out[n] = it
-		n++
-	}
-	if top, ok := q.heap.Peek(); ok {
-		q.top.Store(packItem(top))
-	} else {
-		q.top.Store(emptyHint)
-	}
+	n := q.heap.ApproxPopBatch(out)
+	q.top.Store(q.heap.MinKey())
 	if n > 0 {
 		m.size.Add(int64(-n))
 	}

@@ -6,7 +6,7 @@
 // The paper models relaxation with two exponential tail bounds (Definition 1):
 // a rank bound — Pr[rank(t) ≥ ℓ] ≤ exp(-ℓ/k) — and a fairness bound —
 // Pr[inv(u) ≥ ℓ] ≤ exp(-ℓ/φ). Sub-packages provide the concrete schedulers
-// the paper discusses: an exact binary heap (k = 1), the canonical
+// the paper discusses: an exact heap (k = 1), the canonical
 // uniform-top-k queue, the MultiQueue, the SprayList, a deterministic
 // k-bounded queue, and a fetch-and-add FIFO used as the exact concurrent
 // baseline. This package also provides Instrumented, a wrapper that measures
@@ -31,6 +31,21 @@ func (i Item) Less(o Item) bool {
 		return i.Priority < o.Priority
 	}
 	return i.Task < o.Task
+}
+
+// Key packs the item into one uint64 whose unsigned integer order is exactly
+// Less: priority in the high half, and in the low half the task id with its
+// sign bit flipped, so negative ids sort before non-negative ones as they do
+// under the signed comparison in Less. Heap-backed schedulers store keys
+// instead of items (a compare is one instruction) and the MultiQueue
+// publishes a sub-queue's minimum key as its lock-free hint.
+func (i Item) Key() uint64 {
+	return uint64(i.Priority)<<32 | uint64(uint32(i.Task)^(1<<31))
+}
+
+// ItemOfKey is the inverse of Item.Key.
+func ItemOfKey(k uint64) Item {
+	return Item{Task: int32(uint32(k) ^ (1 << 31)), Priority: uint32(k >> 32)}
 }
 
 // Scheduler is the sequential-model interface of a (possibly relaxed)

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"math"
 	"sync"
 	"testing"
+	"testing/quick"
 )
 
 // fakeScheduler is a trivial LIFO scheduler used to test the wrappers without
@@ -65,6 +67,40 @@ func TestItemLess(t *testing.T) {
 		if got := tc.a.Less(tc.b); got != tc.want {
 			t.Fatalf("%v.Less(%v) = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
+	}
+}
+
+// TestKeyOrderIsLess pins the contract heap storage and MultiQueue hints
+// rest on: the unsigned order of packed keys is exactly Item.Less, and a key
+// unpacks to the item it came from — including negative task ids (whose
+// sign bit a plain uint32 cast would sort last) and math.MaxUint32, the
+// priority pagerank uses as its "no residual" sentinel.
+func TestKeyOrderIsLess(t *testing.T) {
+	agree := func(a, b Item) bool {
+		return (a.Key() < b.Key()) == a.Less(b) && (b.Key() < a.Key()) == b.Less(a) &&
+			ItemOfKey(a.Key()) == a && (a.Key() == b.Key()) == (a == b)
+	}
+	tasks := []int32{math.MinInt32, -2, -1, 0, 1, math.MaxInt32 - 1, math.MaxInt32}
+	priorities := []uint32{0, 1, math.MaxInt32, math.MaxInt32 + 1, math.MaxUint32 - 1, math.MaxUint32}
+	var corners []Item
+	for _, task := range tasks {
+		for _, p := range priorities {
+			corners = append(corners, Item{Task: task, Priority: p})
+		}
+	}
+	for _, a := range corners {
+		for _, b := range corners {
+			if !agree(a, b) {
+				t.Fatalf("Key and Less disagree on %v, %v (keys %#x, %#x)", a, b, a.Key(), b.Key())
+			}
+		}
+	}
+	// Random pairs, and pairs tied on priority so the task half decides.
+	if err := quick.Check(func(a, b Item) bool {
+		tied := Item{Task: b.Task, Priority: a.Priority}
+		return agree(a, b) && agree(a, tied)
+	}, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -87,29 +87,16 @@ func newFIFOQueue(capacity int) *fifoQueue {
 
 func (q *fifoQueue) Insert(it sched.Item) { q.items = append(q.items, it) }
 
-// fifoCompactThreshold is the dead-prefix length beyond which ApproxGetMin
-// compacts the backing array. Without compaction a queue that never fully
-// drains — a service pinned at its admission bound is exactly that — grows
-// its dead prefix by one item per job forever.
-const fifoCompactThreshold = 64
-
+// ApproxGetMin dispenses the oldest item. The dead prefix is compacted by
+// the shared rule: a service pinned at its admission bound never fully
+// drains the queue, and would otherwise grow the prefix by one item per job
+// forever.
 func (q *fifoQueue) ApproxGetMin() (sched.Item, bool) {
 	if q.head >= len(q.items) {
 		return sched.Item{}, false
 	}
 	it := q.items[q.head]
-	q.head++
-	switch {
-	case q.head == len(q.items):
-		q.items = q.items[:0]
-		q.head = 0
-	case q.head >= fifoCompactThreshold && q.head*2 >= len(q.items):
-		// Amortized O(1): at least half the array is dead before we pay
-		// one copy of the live half.
-		n := copy(q.items, q.items[q.head:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
+	q.items, q.head = sched.DropDeadPrefix(q.items, q.head+1)
 	return it, true
 }
 

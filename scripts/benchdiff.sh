@@ -28,8 +28,12 @@
 #
 # The pinned set mirrors the hot paths this repository optimizes:
 #   - exactheap insert/pop churn (the storage under every heap-backed family,
-#     including each MultiQueue sub-queue)
-#   - multiqueue scheduler churn (global and worker-affine handle paths)
+#     including each MultiQueue sub-queue): the historical 1 024-item churn,
+#     churn at executor occupancy (BenchmarkChurn/occ=32768) and the static
+#     framework's preload-then-drain in label order and shuffled
+#     (BenchmarkPreloadDrain)
+#   - multiqueue scheduler churn (global and worker-affine handle paths) and
+#     the handle-level preload-then-drain (BenchmarkWorkerHandlePreloadDrain)
 #   - concurrent MIS, the static contract through the engine (1 worker:
 #     pure hot-loop cost, adapter included)
 #   - concurrent SSSP, the dynamic contract (1 worker)
@@ -73,7 +77,7 @@ run_benches() {
     (
         cd "$tree"
         go test -run '^$' -benchmem -count "$COUNT" \
-            -bench 'BenchmarkInsertDelete$' ./internal/sched/exactheap/
+            -bench 'BenchmarkInsertDelete$|BenchmarkChurn$|BenchmarkPreloadDrain$' ./internal/sched/exactheap/
         go test -run '^$' -benchmem -count "$COUNT" \
             -bench 'BenchmarkConcurrentInsertDelete$|BenchmarkWorkerHandle' \
             ./internal/sched/multiqueue/
