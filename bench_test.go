@@ -52,7 +52,7 @@ func BenchmarkTable1ExtraIterations(b *testing.B) {
 				total := 0.0
 				for i := 0; i < b.N; i++ {
 					cell, err := sim.RunCell(sim.Config{
-						Algorithm: sim.AlgMIS,
+						Algorithm: "mis",
 						Scheduler: sim.SchedMultiQueue,
 						Vertices:  size.Vertices,
 						Edges:     size.Edges,
@@ -90,7 +90,7 @@ func figure2Benchmark(b *testing.B, class bench.Class, scheduler string, threads
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		switch scheduler {
-		case bench.SchedulerSequential:
+		case "sequential":
 			set := mis.Sequential(g, labels)
 			if len(set) != g.NumVertices() {
 				b.Fatal("bad sequential result")
@@ -133,7 +133,7 @@ func BenchmarkFigure2LargeDense(b *testing.B) { runFigure2Class(b, benchClasses[
 
 func runFigure2Class(b *testing.B, class bench.Class) {
 	b.Run("sequential", func(b *testing.B) {
-		figure2Benchmark(b, class, bench.SchedulerSequential, 1)
+		figure2Benchmark(b, class, "sequential", 1)
 	})
 	for _, threads := range figure2ThreadCounts() {
 		b.Run(fmt.Sprintf("relaxed/threads=%d", threads), func(b *testing.B) {
@@ -159,7 +159,7 @@ func BenchmarkTheorem1Sweep(b *testing.B) {
 			total := 0.0
 			for i := 0; i < b.N; i++ {
 				cell, err := sim.RunCell(sim.Config{
-					Algorithm: sim.AlgColoring,
+					Algorithm: "coloring",
 					Vertices:  n,
 					Edges:     m,
 					K:         16,
@@ -185,7 +185,7 @@ func BenchmarkTheorem2Independence(b *testing.B) {
 			total := 0.0
 			for i := 0; i < b.N; i++ {
 				cell, err := sim.RunCell(sim.Config{
-					Algorithm: sim.AlgMIS,
+					Algorithm: "mis",
 					Vertices:  n,
 					Edges:     int64(10 * n),
 					K:         16,

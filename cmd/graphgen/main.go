@@ -1,6 +1,6 @@
 // Command graphgen generates random graphs in the library's edge-list format
 // and prints basic statistics, so experiment inputs can be created once and
-// reused across tools (cmd/misrun reads the same format).
+// reused across tools (cmd/relaxrun reads the same format).
 //
 // Examples:
 //

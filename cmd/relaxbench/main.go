@@ -1,40 +1,39 @@
 // Command relaxbench runs the paper's concurrent experiments (Figure 2):
-// for a graph of a chosen density class it sweeps thread counts and reports
-// the wall-clock time and speedup of
+// for a graph of a chosen density class it sweeps worker counts and
+// executor batch sizes and reports the wall-clock time, throughput and
+// speedup of
 //
 //   - the relaxed framework on a concurrent MultiQueue,
 //   - the exact framework on a fetch-and-add FIFO with predecessor backoff,
+//   - a coarse-locked k-bounded scheduler,
 //
-// against the optimized sequential baseline. Besides the static framework
-// workloads (mis, coloring, matching) it benchmarks the dynamic-priority
-// workloads (sssp — optionally Δ-stepping-bucketed via -delta — kcore, and
-// pagerank — residual tolerance via -tol), which run on the dynamic engine
-// and report stale pops / re-evaluations / re-pushes as wasted work. All
-// workloads dispatch through the internal/workload registry, so -algo
-// accepts any registered name.
+// against the optimized sequential baseline. A Figure 2 panel is the sweep
+// at one batch size — the executor default unless -batches says otherwise.
+// Besides the static framework workloads (mis, coloring, matching) it
+// benchmarks the dynamic-priority workloads (sssp — optionally
+// Δ-stepping-bucketed via -delta — kcore, and pagerank — residual tolerance
+// via -tol), which run on the dynamic engine and report stale pops /
+// re-evaluations / re-pushes as wasted work. All workloads dispatch through
+// the internal/workload registry, so -algo accepts any registered name.
 //
-// With -sweep it instead runs the worker-scaling sweep: workers × batch
-// sizes × schedulers, reporting throughput per data point and writing the
-// machine-readable BENCH_concurrent.json that tracks the repository's
-// concurrent-performance trajectory; -append merges new (class, algorithm)
-// reports into the existing file instead of overwriting it.
+// -json writes the machine-readable reports that BENCH_concurrent.json
+// tracks; -append merges new (class, algorithm) reports into the existing
+// file instead of overwriting it.
 //
 // Examples:
 //
 //	relaxbench                       # all three classes, default thread sweep
 //	relaxbench -class sparse -trials 5
 //	relaxbench -algo sssp -class grid -delta 16
-//	relaxbench -class hundredk,million,powerlaw -sweep   # the tracked MIS sweep
-//	relaxbench -sweep -algo sssp,kcore -class hundredk,grid -append  # the dynamic entries
-//	relaxbench -sweep -algo pagerank -class hundredk,powerlaw -tol 1e-6 -append
 //	relaxbench -vertices 100000 -edges 1000000 -threads 1,2,4
-//	relaxbench -sweep -batches 1,16,64 -json sweep.json
-//	relaxbench -sweep -baseline BENCH_concurrent.json -max-regression 0.25
+//	relaxbench -batches 1,16,64 -json sweep.json
+//	relaxbench -algo pagerank -class hundredk,powerlaw -tol 1e-6 -json BENCH_concurrent.json -append
 //	relaxbench -class sparse -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// -cpuprofile and -memprofile write pprof profiles covering the whole run
-// (panel or sweep); `make profile` wraps this with a rendered top-N report.
-// Profile paths are validated before any benchmark work starts.
+// `make sweep` regenerates BENCH_concurrent.json. -cpuprofile and
+// -memprofile write pprof profiles covering the whole run; `make profile`
+// wraps this with a rendered top-N report. Profile paths are validated
+// before any benchmark work starts.
 package main
 
 import (
@@ -45,10 +44,12 @@ import (
 	"io/fs"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"relaxsched/internal/bench"
+	"relaxsched/internal/workload"
 )
 
 func main() {
@@ -61,26 +62,22 @@ func main() {
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("relaxbench", flag.ContinueOnError)
 	var (
-		algoCSV       = fs.String("algo", "mis", "comma-separated workloads: mis (Figure 2), coloring, matching, sssp, kcore, pagerank")
-		className     = fs.String("class", "", "comma-separated graph classes: sparse, smalldense, largedense, hundredk, million, powerlaw, grid (default: the three Figure 2 classes)")
-		vertices      = fs.Int("vertices", 0, "custom vertex count (overrides -class)")
-		edges         = fs.Int64("edges", 0, "custom edge count (with -vertices)")
-		threadsCSV    = fs.String("threads", "", "comma-separated thread counts (default: powers of two up to GOMAXPROCS)")
-		trials        = fs.Int("trials", 3, "trials per data point")
-		queueFactor   = fs.Int("queue-factor", 4, "MultiQueue sub-queues per thread")
-		batch         = fs.Int("batch", 0, "executor batch size for panel runs (0 = executor default)")
-		delta         = fs.Uint64("delta", 1, "Δ-stepping bucket width for sssp priorities (1 = exact distances)")
-		tol           = fs.Float64("tol", 0, "pagerank target L1 error (0 = workload default 1e-9)")
-		seed          = fs.Uint64("seed", 1, "random seed")
-		verify        = fs.Bool("verify", true, "check every parallel result against the sequential oracle")
-		sweep         = fs.Bool("sweep", false, "run the worker-scaling sweep (workers x batch sizes) instead of Figure 2 panels")
-		batchesCSV    = fs.String("batches", "", "comma-separated batch sizes for -sweep (default: 1,4,16,64)")
-		jsonPath      = fs.String("json", "BENCH_concurrent.json", "output path for the -sweep JSON report (empty: stdout table only)")
-		appendJSON    = fs.Bool("append", false, "merge -sweep reports into the existing -json file, replacing matching (class, algorithm) entries")
-		baseline      = fs.String("baseline", "", "baseline sweep JSON to gate against (with -sweep): fail on relaxed-scheduler throughput regression")
-		maxRegression = fs.Float64("max-regression", 0.25, "largest tolerated fractional throughput drop versus -baseline")
-		cpuProfile    = fs.String("cpuprofile", "", "write a pprof CPU profile covering the whole run (panels or -sweep) to this file")
-		memProfile    = fs.String("memprofile", "", "write a pprof heap profile, snapshotted after the run, to this file")
+		algoCSV     = fs.String("algo", "mis", "comma-separated workloads: mis (Figure 2), coloring, matching, sssp, kcore, pagerank")
+		className   = fs.String("class", "", "comma-separated graph classes: sparse, smalldense, largedense, hundredk, million, powerlaw, grid (default: the three Figure 2 classes)")
+		vertices    = fs.Int("vertices", 0, "custom vertex count (overrides -class)")
+		edges       = fs.Int64("edges", 0, "custom edge count (with -vertices)")
+		threadsCSV  = fs.String("threads", "", "comma-separated worker counts (default: powers of two up to GOMAXPROCS)")
+		trials      = fs.Int("trials", 3, "trials per data point")
+		queueFactor = fs.Int("queue-factor", 4, "MultiQueue sub-queues per thread")
+		delta       = fs.Uint64("delta", 1, "Δ-stepping bucket width for sssp priorities (1 = exact distances)")
+		tol         = fs.Float64("tol", 0, "pagerank target L1 error (0 = workload default 1e-9)")
+		seed        = fs.Uint64("seed", 1, "random seed")
+		verify      = fs.Bool("verify", true, "check every parallel result against the sequential oracle")
+		batchesCSV  = fs.String("batches", "", "comma-separated executor batch sizes (default: the executor default)")
+		jsonPath    = fs.String("json", "", "also write the reports as a JSON array to this file (the layout of BENCH_concurrent.json)")
+		appendJSON  = fs.Bool("append", false, "merge the reports into the existing -json file, replacing matching (class, algorithm) entries")
+		cpuProfile  = fs.String("cpuprofile", "", "write a pprof CPU profile covering the whole run to this file")
+		memProfile  = fs.String("memprofile", "", "write a pprof heap profile, snapshotted after the run, to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -98,35 +95,33 @@ func run(args []string, out io.Writer) (err error) {
 	if *queueFactor < 1 {
 		return fmt.Errorf("invalid queue factor %d: must be at least 1", *queueFactor)
 	}
-	if *batch < 0 {
-		return fmt.Errorf("invalid batch size %d: must be non-negative (0 = executor default)", *batch)
-	}
 
-	var algos []bench.Algorithm
-	hasSSSP, hasPageRank := false, false
+	var algos []string
 	for _, name := range strings.Split(*algoCSV, ",") {
-		a, err := bench.ParseAlgorithm(strings.TrimSpace(name))
-		if err != nil {
-			return err
+		name = strings.TrimSpace(name)
+		if _, err := workload.Lookup(name); err != nil {
+			return fmt.Errorf("-algo: %w", err)
 		}
-		algos = append(algos, a)
-		hasSSSP = hasSSSP || a == bench.AlgorithmSSSP
-		hasPageRank = hasPageRank || a == bench.AlgorithmPageRank
+		algos = append(algos, name)
 	}
 	if *delta < 1 || *delta > math.MaxUint32 {
 		return fmt.Errorf("invalid delta %d: must be in [1, 2^32)", *delta)
 	}
-	if *delta != 1 && !hasSSSP {
+	if *delta != 1 && !slices.Contains(algos, "sssp") {
 		return fmt.Errorf("-delta only applies to -algo sssp")
 	}
 	if *tol < 0 {
 		return fmt.Errorf("invalid tolerance %v: -tol must be non-negative (0 = workload default)", *tol)
 	}
-	if *tol != 0 && !hasPageRank {
+	if *tol != 0 && !slices.Contains(algos, "pagerank") {
 		return fmt.Errorf("-tol only applies to -algo pagerank")
 	}
 
 	threads, err := parseInts(*threadsCSV, "thread count")
+	if err != nil {
+		return err
+	}
+	batches, err := parseInts(*batchesCSV, "batch size")
 	if err != nil {
 		return err
 	}
@@ -147,14 +142,8 @@ func run(args []string, out io.Writer) (err error) {
 		classes = bench.DefaultClasses()
 	}
 
-	if !*sweep && *batchesCSV != "" {
-		return fmt.Errorf("-batches requires -sweep (use -batch for a single panel batch size)")
-	}
-	if !*sweep && *baseline != "" {
-		return fmt.Errorf("-baseline requires -sweep")
-	}
-	if !*sweep && *appendJSON {
-		return fmt.Errorf("-append requires -sweep")
+	if *appendJSON && *jsonPath == "" {
+		return fmt.Errorf("-append requires -json")
 	}
 	if *cpuProfile != "" && *cpuProfile == *memProfile {
 		return fmt.Errorf("-cpuprofile and -memprofile must be distinct files")
@@ -169,69 +158,16 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}()
 
-	if *sweep {
-		if *batch != 0 && *batchesCSV != "" {
-			return fmt.Errorf("-batch and -batches are mutually exclusive with -sweep")
-		}
-		if *appendJSON && *jsonPath == "" {
-			return fmt.Errorf("-append requires -json")
-		}
-		batches, err := parseInts(*batchesCSV, "batch size")
-		if err != nil {
-			return err
-		}
-		if *batch != 0 {
-			if *batch < 1 {
-				return fmt.Errorf("invalid batch size %d", *batch)
-			}
-			batches = []int{*batch}
-		}
-		return runSweep(out, classes, algos, bench.ScalingConfig{
-			Workers:     threads,
-			BatchSizes:  batches,
-			Trials:      *trials,
-			QueueFactor: *queueFactor,
-			Delta:       uint32(*delta),
-			Tolerance:   *tol,
-			Seed:        *seed,
-			Verify:      *verify,
-		}, *jsonPath, *appendJSON, *baseline, *maxRegression)
+	cfg := bench.ScalingConfig{
+		Workers:     threads,
+		BatchSizes:  batches,
+		Trials:      *trials,
+		QueueFactor: *queueFactor,
+		Delta:       uint32(*delta),
+		Tolerance:   *tol,
+		Seed:        *seed,
+		Verify:      *verify,
 	}
-
-	for _, class := range classes {
-		for _, algo := range algos {
-			if len(algos) > 1 {
-				fmt.Fprintf(out, "algorithm=%s\n", algo)
-			}
-			report, err := bench.Run(bench.Config{
-				Class:       class,
-				Algorithm:   algo,
-				Threads:     threads,
-				Trials:      *trials,
-				QueueFactor: *queueFactor,
-				BatchSize:   *batch,
-				Delta:       uint32(*delta),
-				Tolerance:   *tol,
-				Seed:        *seed,
-				Verify:      *verify,
-			})
-			if err != nil {
-				return fmt.Errorf("class %s algo %s: %w", class.Name, algo, err)
-			}
-			fmt.Fprint(out, report.Format())
-			fmt.Fprintf(out, "best speedup: relaxed %.2fx, exact %.2fx\n\n",
-				report.BestSpeedup(bench.SchedulerRelaxed), report.BestSpeedup(bench.SchedulerExact))
-		}
-	}
-	return nil
-}
-
-// runSweep executes the scaling sweep for every (class, algorithm) pair,
-// prints the table per pair, writes all reports as one JSON array to
-// jsonPath (merging into the existing file with doAppend), and — when a
-// baseline is given — fails on a relaxed-scheduler throughput regression
-// beyond maxRegression.
-func runSweep(out io.Writer, classes []bench.Class, algos []bench.Algorithm, cfg bench.ScalingConfig, jsonPath string, doAppend bool, baseline string, maxRegression float64) error {
 	reports := make([]bench.ScalingReport, 0, len(classes)*len(algos))
 	for _, class := range classes {
 		for _, algo := range algos {
@@ -253,43 +189,38 @@ func runSweep(out io.Writer, classes []bench.Class, algos []bench.Algorithm, cfg
 			reports = append(reports, report)
 		}
 	}
-	if jsonPath != "" {
-		output := reports
-		if doAppend {
-			existing, err := bench.ReadScalingReportsFile(jsonPath)
-			switch {
-			case err == nil:
-				output = mergeReports(existing, reports)
-			case errors.Is(err, fs.ErrNotExist):
-				// No existing file: -append degenerates to a plain write.
-			default:
-				return err
-			}
-		}
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return fmt.Errorf("creating %s: %w", jsonPath, err)
-		}
-		if err := bench.WriteScalingReports(f, output); err != nil {
-			f.Close()
-			return fmt.Errorf("writing %s: %w", jsonPath, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("writing %s: %w", jsonPath, err)
-		}
-		fmt.Fprintf(out, "wrote %s\n", jsonPath)
+	if *jsonPath == "" {
+		return nil
 	}
-	if baseline != "" {
-		base, err := bench.ReadScalingReportsFile(baseline)
-		if err != nil {
+	return writeReports(out, *jsonPath, *appendJSON, reports)
+}
+
+// writeReports writes the reports as one JSON array to path, merging them
+// into the existing file when doAppend is set.
+func writeReports(out io.Writer, path string, doAppend bool, reports []bench.ScalingReport) error {
+	if doAppend {
+		existing, err := bench.ReadScalingReportsFile(path)
+		switch {
+		case err == nil:
+			reports = mergeReports(existing, reports)
+		case errors.Is(err, fs.ErrNotExist):
+			// No existing file: -append degenerates to a plain write.
+		default:
 			return err
 		}
-		if err := bench.CheckRegression(reports, base, bench.SchedulerRelaxed, maxRegression); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "regression gate passed: %s within %.0f%% of %s\n",
-			bench.SchedulerRelaxed, 100*maxRegression, baseline)
 	}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("creating %s: %w", path, err)
+	}
+	if err := bench.WriteScalingReports(f, reports); err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	fmt.Fprintf(out, "wrote %s\n", path)
 	return nil
 }
 

@@ -10,6 +10,20 @@ import (
 	"relaxsched/internal/bench"
 )
 
+// readReports parses a JSON report file written by -json.
+func readReports(t *testing.T, path string) []bench.ScalingReport {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports []bench.ScalingReport
+	if err := json.Unmarshal(data, &reports); err != nil {
+		t.Fatalf("invalid JSON in %s: %v", path, err)
+	}
+	return reports
+}
+
 func TestRunCustomGraph(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
@@ -19,10 +33,13 @@ func TestRunCustomGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"custom", "relaxed-multiqueue", "exact-faa", "sequential", "best speedup"} {
+	for _, want := range []string{"custom", "relaxed-multiqueue", "exact-faa", "seq=", "best throughput"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}
+	}
+	if strings.Contains(got, "wrote ") {
+		t.Fatalf("a run without -json wrote a file:\n%s", got)
 	}
 }
 
@@ -49,7 +66,7 @@ func TestRunAlternativeAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
-		if !strings.Contains(out.String(), "best speedup") {
+		if !strings.Contains(out.String(), "best throughput") {
 			t.Fatalf("%s: missing summary line", algo)
 		}
 	}
@@ -101,20 +118,13 @@ func TestRunSweepWritesJSON(t *testing.T) {
 	jsonPath := dir + "/BENCH_concurrent.json"
 	var out bytes.Buffer
 	err := run([]string{
-		"-sweep", "-vertices", "1500", "-edges", "6000", "-threads", "1,2",
+		"-vertices", "1500", "-edges", "6000", "-threads", "1,2",
 		"-batches", "1,16", "-trials", "1", "-json", jsonPath,
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reports []bench.ScalingReport
-	if err := json.Unmarshal(data, &reports); err != nil {
-		t.Fatalf("invalid JSON in %s: %v", jsonPath, err)
-	}
+	reports := readReports(t, jsonPath)
 	if len(reports) != 1 {
 		t.Fatalf("got %d reports, want 1", len(reports))
 	}
@@ -137,85 +147,44 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
+		// want, when set, must appear in the error: the flag at fault.
+		want string
 	}{
-		{"negative vertices", []string{"-vertices", "-5"}},
-		{"negative edges", []string{"-vertices", "100", "-edges", "-1"}},
-		{"zero trials", []string{"-vertices", "100", "-edges", "200", "-trials", "0"}},
-		{"negative trials", []string{"-vertices", "100", "-edges", "200", "-trials", "-2"}},
-		{"zero queue factor", []string{"-vertices", "100", "-edges", "200", "-queue-factor", "0"}},
-		{"negative batch", []string{"-vertices", "100", "-edges", "200", "-batch", "-4"}},
-		{"bad thread list", []string{"-vertices", "100", "-edges", "200", "-threads", "1,0"}},
-		{"unknown class", []string{"-class", "galaxy"}},
-		{"baseline without sweep", []string{"-vertices", "100", "-edges", "200", "-baseline", "x.json"}},
-		{"unknown algo in list", []string{"-algo", "mis,galactic", "-vertices", "100", "-edges", "200"}},
-		{"zero delta", []string{"-algo", "sssp", "-vertices", "100", "-edges", "200", "-delta", "0"}},
-		{"delta overflows uint32", []string{"-algo", "sssp", "-vertices", "100", "-edges", "200", "-delta", "4294967296"}},
-		{"delta without sssp", []string{"-algo", "mis", "-vertices", "100", "-edges", "200", "-delta", "16"}},
-		{"negative tol", []string{"-algo", "pagerank", "-vertices", "100", "-edges", "200", "-tol", "-1e-9"}},
-		{"tol without pagerank", []string{"-algo", "mis", "-vertices", "100", "-edges", "200", "-tol", "1e-6"}},
-		{"append without sweep", []string{"-vertices", "100", "-edges", "200", "-append"}},
-		{"append without json", []string{"-sweep", "-vertices", "100", "-edges", "200", "-append", "-json", ""}},
+		{"negative vertices", []string{"-vertices", "-5"}, ""},
+		{"negative edges", []string{"-vertices", "100", "-edges", "-1"}, ""},
+		{"zero trials", []string{"-vertices", "100", "-edges", "200", "-trials", "0"}, ""},
+		{"negative trials", []string{"-vertices", "100", "-edges", "200", "-trials", "-2"}, ""},
+		{"zero queue factor", []string{"-vertices", "100", "-edges", "200", "-queue-factor", "0"}, ""},
+		{"zero batch in list", []string{"-vertices", "100", "-edges", "200", "-batches", "0,16"}, "invalid batch size"},
+		{"bad thread list", []string{"-vertices", "100", "-edges", "200", "-threads", "1,0"}, ""},
+		{"unknown class", []string{"-class", "galaxy"}, ""},
+		{"unknown algo in list", []string{"-algo", "mis,galactic", "-vertices", "100", "-edges", "200"}, "-algo"},
+		{"trailing comma in algo", []string{"-algo", "kcore,", "-vertices", "100", "-edges", "200", "-threads", "1", "-trials", "1"}, "-algo"},
+		{"empty algo", []string{"-algo", "", "-vertices", "100", "-edges", "200", "-threads", "1", "-trials", "1"}, "-algo"},
+		{"zero delta", []string{"-algo", "sssp", "-vertices", "100", "-edges", "200", "-delta", "0"}, ""},
+		{"delta overflows uint32", []string{"-algo", "sssp", "-vertices", "100", "-edges", "200", "-delta", "4294967296"}, ""},
+		{"delta without sssp", []string{"-algo", "mis", "-vertices", "100", "-edges", "200", "-delta", "16"}, ""},
+		{"negative tol", []string{"-algo", "pagerank", "-vertices", "100", "-edges", "200", "-tol", "-1e-9"}, ""},
+		{"tol without pagerank", []string{"-algo", "mis", "-vertices", "100", "-edges", "200", "-tol", "1e-6"}, ""},
+		{"append without json", []string{"-vertices", "100", "-edges", "200", "-append"}, "-json"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var out bytes.Buffer
-			if err := run(tc.args, &out); err == nil {
+			err := run(tc.args, &out)
+			if err == nil {
 				t.Fatalf("args %v accepted", tc.args)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("args %v: error %q does not mention %q", tc.args, err, tc.want)
 			}
 		})
 	}
 }
 
-func TestSweepBaselineGate(t *testing.T) {
-	dir := t.TempDir()
-	jsonPath := dir + "/sweep.json"
-	args := []string{
-		"-sweep", "-vertices", "2000", "-edges", "8000", "-threads", "1",
-		"-batches", "16", "-trials", "1", "-seed", "7", "-json", jsonPath,
-	}
-	var out bytes.Buffer
-	if err := run(args, &out); err != nil {
-		t.Fatal(err)
-	}
-	// Gating against the sweep's own output must always pass.
-	var out2 bytes.Buffer
-	if err := run(append(args, "-baseline", jsonPath, "-json", dir+"/second.json"), &out2); err != nil {
-		t.Fatalf("self-baseline gate failed: %v", err)
-	}
-	if !strings.Contains(out2.String(), "regression gate passed") {
-		t.Fatalf("missing gate confirmation:\n%s", out2.String())
-	}
-	// An impossible baseline must fail the gate.
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reports []bench.ScalingReport
-	if err := json.Unmarshal(data, &reports); err != nil {
-		t.Fatal(err)
-	}
-	for i := range reports {
-		for j := range reports[i].Points {
-			reports[i].Points[j].ThroughputTasksPerSec *= 1000
-		}
-	}
-	inflated, err := json.Marshal(reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	badPath := dir + "/inflated.json"
-	if err := os.WriteFile(badPath, inflated, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out3 bytes.Buffer
-	if err := run(append(args, "-baseline", badPath, "-json", dir+"/third.json"), &out3); err == nil {
-		t.Fatal("1000x-inflated baseline passed the regression gate")
-	}
-}
-
 func TestRunDynamicAlgorithms(t *testing.T) {
-	// Panel runs for the dynamic workloads, including a bucketed sssp; the
-	// multi-algo form prints one header per algorithm.
+	// The dynamic workloads, including a bucketed sssp; the multi-algo form
+	// prints one table per algorithm.
 	var out bytes.Buffer
 	err := run([]string{
 		"-algo", "sssp,kcore", "-vertices", "900", "-edges", "3600",
@@ -225,7 +194,7 @@ func TestRunDynamicAlgorithms(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"algorithm=sssp", "algorithm=kcore", "best speedup"} {
+	for _, want := range []string{"algo=sssp", "algo=kcore", "best throughput"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}
@@ -238,7 +207,7 @@ func TestSweepDynamicAlgorithmsAppend(t *testing.T) {
 	// First, a MIS sweep creates the file.
 	var out bytes.Buffer
 	err := run([]string{
-		"-sweep", "-vertices", "1200", "-edges", "5000", "-threads", "1",
+		"-vertices", "1200", "-edges", "5000", "-threads", "1",
 		"-batches", "16", "-trials", "1", "-json", jsonPath,
 	}, &out)
 	if err != nil {
@@ -248,20 +217,13 @@ func TestSweepDynamicAlgorithmsAppend(t *testing.T) {
 	// discarding the MIS entry.
 	out.Reset()
 	err = run([]string{
-		"-sweep", "-algo", "sssp,kcore", "-vertices", "1200", "-edges", "5000",
+		"-algo", "sssp,kcore", "-vertices", "1200", "-edges", "5000",
 		"-threads", "1", "-batches", "16", "-trials", "1", "-append", "-json", jsonPath,
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reports []bench.ScalingReport
-	if err := json.Unmarshal(data, &reports); err != nil {
-		t.Fatal(err)
-	}
+	reports := readReports(t, jsonPath)
 	if len(reports) != 3 {
 		t.Fatalf("got %d reports after append, want 3 (mis + sssp + kcore)", len(reports))
 	}
@@ -278,72 +240,34 @@ func TestSweepDynamicAlgorithmsAppend(t *testing.T) {
 	// duplicating.
 	out.Reset()
 	err = run([]string{
-		"-sweep", "-algo", "kcore", "-vertices", "1200", "-edges", "5000",
+		"-algo", "kcore", "-vertices", "1200", "-edges", "5000",
 		"-threads", "1", "-batches", "16", "-trials", "1", "-append", "-json", jsonPath,
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err = os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &reports); err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 3 {
+	if reports := readReports(t, jsonPath); len(reports) != 3 {
 		t.Fatalf("got %d reports after re-append, want 3", len(reports))
 	}
 }
 
-func TestSweepDynamicSelfBaselineGate(t *testing.T) {
-	// The regression gate must key on (class, algorithm): a dynamic sweep
-	// gated against its own output passes even when the baseline also holds
-	// entries for other algorithms.
-	dir := t.TempDir()
-	jsonPath := dir + "/sweep.json"
-	args := []string{
-		"-sweep", "-algo", "sssp", "-vertices", "1500", "-edges", "6000",
-		"-threads", "1", "-batches", "16", "-trials", "1", "-seed", "3", "-json", jsonPath,
-	}
-	var out bytes.Buffer
-	if err := run(args, &out); err != nil {
-		t.Fatal(err)
-	}
-	var out2 bytes.Buffer
-	if err := run(append(args, "-baseline", jsonPath, "-json", dir+"/second.json"), &out2); err != nil {
-		t.Fatalf("self-baseline gate failed: %v", err)
-	}
-	if !strings.Contains(out2.String(), "regression gate passed") {
-		t.Fatalf("missing gate confirmation:\n%s", out2.String())
-	}
-}
-
 func TestSweepClassList(t *testing.T) {
-	dir := t.TempDir()
-	jsonPath := dir + "/sweep.json"
+	jsonPath := t.TempDir() + "/sweep.json"
 	var out bytes.Buffer
 	err := run([]string{
-		"-sweep", "-class", "powerlaw", "-threads", "1", "-batches", "16",
+		"-class", "powerlaw", "-threads", "1", "-batches", "16",
 		"-trials", "1", "-json", jsonPath,
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reports []bench.ScalingReport
-	if err := json.Unmarshal(data, &reports); err != nil {
-		t.Fatal(err)
-	}
+	reports := readReports(t, jsonPath)
 	if len(reports) != 1 || reports[0].Class != "powerlaw" || reports[0].Model != "powerlaw" {
 		t.Fatalf("unexpected reports: %+v", reports)
 	}
 }
 
-func TestRunPageRankPanel(t *testing.T) {
+func TestRunPageRank(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
 		"-algo", "pagerank", "-vertices", "800", "-edges", "3200",
@@ -352,7 +276,7 @@ func TestRunPageRankPanel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "best speedup") {
+	if !strings.Contains(out.String(), "best throughput") {
 		t.Fatalf("missing summary line:\n%s", out.String())
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// tinyArgs is a fast panel invocation profile tests piggyback on.
+// tinyArgs is a fast invocation profile tests piggyback on.
 func tinyArgs(extra ...string) []string {
 	return append([]string{
 		"-vertices", "500", "-edges", "1500", "-threads", "1", "-trials", "1",
@@ -30,23 +30,7 @@ func TestProfileFlagsWriteProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := dir+"/cpu.pprof", dir+"/mem.pprof"
 	var out bytes.Buffer
-	if err := run(tinyArgs("-cpuprofile", cpu, "-memprofile", mem), &out); err != nil {
-		t.Fatal(err)
-	}
-	requirePprof(t, cpu)
-	requirePprof(t, mem)
-}
-
-func TestProfileFlagsWithSweep(t *testing.T) {
-	dir := t.TempDir()
-	cpu, mem := dir+"/cpu.pprof", dir+"/mem.pprof"
-	var out bytes.Buffer
-	err := run([]string{
-		"-sweep", "-vertices", "800", "-edges", "3000", "-threads", "1",
-		"-batches", "16", "-trials", "1", "-json", dir + "/sweep.json",
-		"-cpuprofile", cpu, "-memprofile", mem,
-	}, &out)
-	if err != nil {
+	if err := run(tinyArgs("-json", dir+"/sweep.json", "-cpuprofile", cpu, "-memprofile", mem), &out); err != nil {
 		t.Fatal(err)
 	}
 	requirePprof(t, cpu)

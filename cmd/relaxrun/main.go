@@ -2,8 +2,7 @@
 // matching, sssp, kcore, pagerank — over a graph in the library's edge-list
 // format (see cmd/graphgen), in any of the supported execution modes, and
 // reports timing, the workload's output summary, and its wasted-work metric.
-// It is the generic, registry-driven counterpart of the single-workload
-// wrappers cmd/misrun and cmd/kcorerun: a workload added to
+// It dispatches through the registry, so a workload added to
 // internal/workload is runnable here with no CLI change.
 //
 // Examples:

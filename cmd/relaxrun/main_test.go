@@ -36,18 +36,59 @@ func TestRunEveryWorkloadEveryMode(t *testing.T) {
 	path := writeTestGraph(t, 500, 2500)
 	for _, name := range workload.Names() {
 		for _, mode := range []string{"sequential", "relaxed", "concurrent", "exact"} {
-			var out bytes.Buffer
-			err := run([]string{
-				"-workload", name, "-in", path, "-mode", mode, "-threads", "2", "-k", "8", "-seed", "3",
-			}, &out)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, mode, err)
-			}
-			got := out.String()
-			if !strings.Contains(got, "workload: "+name) || !strings.Contains(got, "mode: "+mode) {
-				t.Fatalf("%s/%s: unexpected output:\n%s", name, mode, got)
-			}
+			t.Run(name+"/"+mode, func(t *testing.T) {
+				var out bytes.Buffer
+				err := run([]string{
+					"-workload", name, "-in", path, "-mode", mode, "-threads", "2", "-k", "8", "-seed", "3",
+				}, &out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := out.String()
+				if !strings.Contains(got, "workload: "+name) || !strings.Contains(got, "mode: "+mode) {
+					t.Fatalf("unexpected output:\n%s", got)
+				}
+			})
 		}
+	}
+}
+
+func TestRunModesAgreeOnSummary(t *testing.T) {
+	// Every exact workload — those whose Matches is fingerprint equality,
+	// i.e. a non-zero fingerprint — computes the same output in every mode
+	// for one seed, so the printed summary (MIS size, degeneracy, ...) must
+	// be identical across modes.
+	path := writeTestGraph(t, 500, 2500)
+	g, err := workload.LoadGraph(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range workload.All() {
+		inst, err := d.New(g, workload.Params{Seed: 11, Source: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inst.RunSequential().Fingerprint() == 0 {
+			continue // approximate output (pagerank): compared within a tolerance instead
+		}
+		t.Run(d.Name, func(t *testing.T) {
+			var summaries []string
+			for _, mode := range []string{"sequential", "relaxed", "concurrent", "exact"} {
+				var out bytes.Buffer
+				err := run([]string{"-workload", d.Name, "-in", path, "-mode", mode, "-threads", "2", "-k", "8", "-seed", "11"}, &out)
+				if err != nil {
+					t.Fatalf("%s: %v", mode, err)
+				}
+				// The third line is "<summary>  <wasted work>: N  pops: ...".
+				lines := strings.Split(out.String(), "\n")
+				summaries = append(summaries, strings.Split(lines[2], "  ")[0])
+			}
+			for _, s := range summaries[1:] {
+				if s != summaries[0] {
+					t.Fatalf("modes disagree on the summary: %q", summaries)
+				}
+			}
+		})
 	}
 }
 
@@ -80,6 +121,10 @@ func TestRunPageRankKnobs(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	path := writeTestGraph(t, 50, 100)
+	badPath := filepath.Join(t.TempDir(), "bad.txt")
+	if err := os.WriteFile(badPath, []byte("not an edge list\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -89,9 +134,12 @@ func TestRunErrors(t *testing.T) {
 		{"unknown workload", []string{"-workload", "galactic", "-in", path}},
 		{"missing input", []string{"-workload", "mis"}},
 		{"nonexistent file", []string{"-workload", "mis", "-in", "/does/not/exist"}},
+		{"malformed file", []string{"-workload", "mis", "-in", badPath}},
 		{"unknown mode", []string{"-workload", "mis", "-in", path, "-mode", "quantum"}},
 		{"zero k", []string{"-workload", "mis", "-in", path, "-mode", "relaxed", "-k", "0"}},
+		{"negative k", []string{"-workload", "kcore", "-in", path, "-mode", "relaxed", "-k", "-3"}},
 		{"zero threads", []string{"-workload", "kcore", "-in", path, "-mode", "concurrent", "-threads", "0"}},
+		{"negative threads", []string{"-workload", "mis", "-in", path, "-mode", "exact", "-threads", "-1"}},
 		{"negative batch", []string{"-workload", "kcore", "-in", path, "-mode", "concurrent", "-batch", "-1"}},
 		{"zero delta", []string{"-workload", "sssp", "-in", path, "-delta", "0"}},
 		{"explicit zero tol", []string{"-workload", "pagerank", "-in", path, "-tol", "0"}},

@@ -17,9 +17,8 @@
 // Every schedulable workload registers a descriptor in internal/workload —
 // the registry that ties algorithms to the engine, schedulers, CLIs and the
 // benchmark harness. cmd/relaxrun runs any registered workload over an
-// edge-list graph in any execution mode; cmd/misrun and cmd/kcorerun are
-// thin single-workload wrappers; cmd/relaxbench and internal/bench
-// regenerate the paper's Figure 2 and the worker-scaling sweep behind
+// edge-list graph in any execution mode; cmd/relaxbench and internal/bench
+// run the worker-scaling sweep behind the paper's Figure 2 and
 // BENCH_concurrent.json; cmd/relaxsim and internal/sim regenerate Table 1.
 //
 // On the serving path, internal/service and cmd/relaxd expose the registry

@@ -25,8 +25,8 @@
 // (Stats.Pops - NumVertices) instead.
 //
 // The workload registers as "kcore" in internal/workload (wasted work:
-// extra re-evaluations), which is how cmd/kcorerun, cmd/relaxrun,
-// cmd/relaxbench and internal/bench reach it.
+// extra re-evaluations), which is how cmd/relaxrun, cmd/relaxbench and
+// internal/bench reach it.
 package kcore
 
 import (

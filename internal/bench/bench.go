@@ -6,35 +6,31 @@
 //   - the relaxed framework on a concurrent MultiQueue (the paper's
 //     contribution),
 //   - the exact framework on a fetch-and-add FIFO with the wait-on-
-//     predecessor backoff (the paper's exact-scheduler baseline), and
+//     predecessor backoff (the paper's exact-scheduler baseline),
+//   - a coarse-locked k-bounded scheduler (the sched.Batcher path), and
 //   - the optimized sequential baseline (the speedup denominator),
 //
-// across a sweep of thread counts. The paper runs its three classes at
-// 10^8–10^10 edges on a 4-socket Xeon; this harness keeps the same class
+// across a sweep of worker counts and executor batch sizes. A Figure 2
+// panel is that sweep at one batch size. The paper runs its three classes
+// at 10^8–10^10 edges on a 4-socket Xeon; this harness keeps the same class
 // shapes (sparse, small dense, large dense — i.e. the same average-degree
 // regimes) at sizes that fit a single development machine, which preserves
 // the qualitative comparison the figure makes.
 //
 // The harness is workload-agnostic: every algorithm — static-framework (mis,
 // coloring, matching) and dynamic-priority (sssp, kcore, pagerank) alike —
-// is dispatched through its registry descriptor, so panels, scaling sweeps,
-// the JSON trajectory and the regression gate gain a new workload the moment
-// it registers itself.
+// is bound through its registry descriptor, so the sweep and the JSON
+// trajectory gain a new workload the moment it registers itself.
 package bench
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
-	"strings"
 	"time"
 
-	"relaxsched/internal/core"
 	"relaxsched/internal/graph"
 	"relaxsched/internal/rng"
-	"relaxsched/internal/sched"
 	"relaxsched/internal/stats"
 	"relaxsched/internal/workload"
 )
@@ -66,14 +62,6 @@ type Class struct {
 	Model string
 	// Exponent is the power-law exponent for ModelPowerLaw (default 2.5).
 	Exponent float64
-}
-
-// AverageDegree returns 2*Edges/Vertices.
-func (c Class) AverageDegree() float64 {
-	if c.Vertices == 0 {
-		return 0
-	}
-	return 2 * float64(c.Edges) / float64(c.Vertices)
 }
 
 // DefaultClasses returns scaled-down versions of the paper's three classes.
@@ -114,104 +102,15 @@ func ClassByName(name string) (Class, error) {
 	return Class{}, fmt.Errorf("bench: unknown graph class %q", name)
 }
 
-// Scheduler names used in measurements.
+// Scheduler names used in sweep points.
 const (
-	SchedulerSequential = "sequential"
-	SchedulerRelaxed    = "relaxed-multiqueue"
-	SchedulerExact      = "exact-faa"
+	SchedulerRelaxed = "relaxed-multiqueue"
+	SchedulerExact   = "exact-faa"
+	// SchedulerLockedKBounded names the coarse-locked deterministic
+	// k-bounded scheduler. It exercises the sched.Batcher path: one lock
+	// acquisition per batch with native batch operations inside.
+	SchedulerLockedKBounded = "locked-kbounded"
 )
-
-// Algorithm selects which registered workload a panel benchmarks. Values are
-// registry names (see internal/workload); the paper's Figure 2 uses MIS, the
-// other workloads are the "more general graph processing" extension the
-// paper's future-work section calls for.
-type Algorithm string
-
-// The registered workloads, named for convenience.
-const (
-	AlgorithmMIS      Algorithm = "mis"
-	AlgorithmColoring Algorithm = "coloring"
-	AlgorithmMatching Algorithm = "matching"
-	AlgorithmSSSP     Algorithm = "sssp"
-	AlgorithmKCore    Algorithm = "kcore"
-	AlgorithmPageRank Algorithm = "pagerank"
-)
-
-// Dynamic reports whether the algorithm is a dynamic-priority workload
-// (mutable priorities, runtime-generated tasks) rather than a static
-// framework algorithm.
-func (a Algorithm) Dynamic() bool {
-	d, err := workload.Lookup(string(a))
-	return err == nil && d.Kind == workload.Dynamic
-}
-
-// ParseAlgorithm validates an algorithm name against the workload registry;
-// the empty string selects the default (MIS, as in Figure 2).
-func ParseAlgorithm(name string) (Algorithm, error) {
-	if name == "" {
-		return AlgorithmMIS, nil
-	}
-	if _, err := workload.Lookup(name); err != nil {
-		return "", fmt.Errorf("bench: unknown algorithm %q", name)
-	}
-	return Algorithm(name), nil
-}
-
-// Config describes one Figure 2 panel (one graph class, a thread sweep).
-type Config struct {
-	Class Class
-	// Algorithm selects the workload (default AlgorithmMIS, as in Figure 2).
-	Algorithm Algorithm
-	// Threads is the list of worker counts to sweep. Defaults to powers of
-	// two up to GOMAXPROCS.
-	Threads []int
-	// Trials per data point. Default 3.
-	Trials int
-	// QueueFactor is the number of MultiQueue sub-queues per thread
-	// (default 4, as in the paper).
-	QueueFactor int
-	// BatchSize is the executor batch size (0 selects the executor default,
-	// 1 the single-item discipline).
-	BatchSize int
-	// Delta is the Δ-stepping bucket width for AlgorithmSSSP (0 or 1 keep
-	// exact distance priorities); other algorithms ignore it.
-	Delta uint32
-	// Tolerance is the target L1 error for AlgorithmPageRank (0 selects the
-	// workload default 1e-9); other algorithms ignore it.
-	Tolerance float64
-	// Seed makes graph generation and permutations reproducible.
-	Seed uint64
-	// Verify makes every parallel run check its output against the
-	// sequential reference. It is on by default in tests and off for large
-	// timing runs only if explicitly disabled.
-	Verify bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.Algorithm == "" {
-		c.Algorithm = AlgorithmMIS
-	}
-	if len(c.Threads) == 0 {
-		c.Threads = DefaultThreadSweep()
-	}
-	if c.Trials <= 0 {
-		c.Trials = 3
-	}
-	if c.QueueFactor <= 0 {
-		c.QueueFactor = DefaultQueueFactor
-	}
-	return c
-}
-
-// params maps a panel config onto the registry's workload parameters.
-func (c Config) params() workload.Params {
-	return workload.Params{
-		Seed:      c.Seed,
-		Delta:     c.Delta,
-		Tolerance: c.Tolerance,
-		Source:    -1, // sssp: first non-isolated vertex
-	}
-}
 
 // DefaultThreadSweep returns 1, 2, 4, ... up to GOMAXPROCS.
 func DefaultThreadSweep() []int {
@@ -226,41 +125,16 @@ func DefaultThreadSweep() []int {
 	return threads
 }
 
-// Measurement is one data point of a Figure 2 panel.
-type Measurement struct {
-	Scheduler string
-	Threads   int
-	// Time summarizes wall-clock seconds across trials.
-	Time stats.Summary
-	// Speedup is the ratio of the sequential baseline's mean time to this
-	// measurement's mean time.
-	Speedup float64
-	// ExtraIterations summarizes the workload's wasted-work metric per trial
-	// (see the workload's Descriptor.WastedWork label; zero for the
-	// sequential baseline).
-	ExtraIterations stats.Summary
-	// EmptyPolls summarizes scheduler polls that found nothing per trial.
-	EmptyPolls stats.Summary
-}
-
-// Report is the outcome of one Figure 2 panel.
-type Report struct {
-	Class        Class
-	Sequential   Measurement
-	Measurements []Measurement
-}
-
-// buildPanel generates the class's input graph, binds the workload through
-// the registry, and times the sequential baseline — the setup shared by Run
-// (Figure 2 panels) and RunScaling (the worker-scaling sweep), so numbers
-// from the two harnesses stay comparable by construction.
-func buildPanel(class Class, alg Algorithm, trials int, seed uint64, p workload.Params) (workload.Instance, stats.Summary, workload.Output, error) {
+// bind generates the class's input graph, binds the workload through the
+// registry, and times the sequential baseline, whose last output is the
+// reference every verified parallel run is matched against.
+func bind(class Class, alg string, trials int, seed uint64, p workload.Params) (workload.Instance, stats.Summary, workload.Output, error) {
 	r := rng.New(seed ^ 0xbe9cbe9cbe9cbe9c)
 	g, err := generateGraph(class, r)
 	if err != nil {
 		return nil, stats.Summary{}, nil, err
 	}
-	d, err := workload.Lookup(string(alg))
+	d, err := workload.Lookup(alg)
 	if err != nil {
 		return nil, stats.Summary{}, nil, fmt.Errorf("bench: unknown algorithm %q", alg)
 	}
@@ -317,130 +191,4 @@ func generateGraph(class Class, r *rng.Rand) (*graph.Graph, error) {
 		return nil, fmt.Errorf("bench: generating %s graph: %w", class.Name, err)
 	}
 	return g, nil
-}
-
-// Run executes one Figure 2 panel.
-func Run(cfg Config) (Report, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cancellation: between trials the runner checks ctx
-// and in-flight concurrent trials abort at their next batch boundary, so a
-// canceled sweep returns promptly without orphaning worker goroutines.
-func RunContext(ctx context.Context, cfg Config) (Report, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Class.Vertices <= 0 {
-		return Report{}, fmt.Errorf("bench: class has no vertices")
-	}
-	inst, seqTime, reference, err := buildPanel(cfg.Class, cfg.Algorithm, cfg.Trials, cfg.Seed, cfg.params())
-	if err != nil {
-		return Report{}, err
-	}
-
-	report := Report{Class: cfg.Class}
-	report.Sequential = Measurement{
-		Scheduler: SchedulerSequential,
-		Threads:   1,
-		Time:      seqTime,
-		Speedup:   1,
-	}
-
-	for _, threads := range cfg.Threads {
-		if threads < 1 {
-			return Report{}, fmt.Errorf("bench: invalid thread count %d", threads)
-		}
-		for _, name := range []string{SchedulerRelaxed, SchedulerExact} {
-			variant, err := schedulerVariant(name, cfg.QueueFactor, cfg.Seed, inst.NumTasks())
-			if err != nil {
-				return Report{}, err
-			}
-			m, err := runParallel(ctx, inst, cfg.Trials, cfg.Verify, threads, cfg.BatchSize, reference, variant.policy,
-				func(trial int) sched.Concurrent { return variant.factory(threads, trial) })
-			if err != nil {
-				return Report{}, fmt.Errorf("bench: %s run at %d threads: %w", name, threads, err)
-			}
-			m.Scheduler = name
-			m.Speedup = report.Sequential.Time.Mean / m.Time.Mean
-			report.Measurements = append(report.Measurements, m)
-		}
-	}
-	return report, nil
-}
-
-// runParallel measures one (scheduler, workers, batch) data point: trials
-// timed runs through the registry instance, each verified against the
-// sequential reference output when asked. The bench trial runner honors
-// ctx: it stops between trials on cancellation and passes ctx.Done() into
-// the execution so an in-flight trial aborts at its next batch boundary.
-func runParallel(ctx context.Context, inst workload.Instance, trials int, verify bool, workers, batch int, reference workload.Output, policy core.Policy, factory func(trial int) sched.Concurrent) (Measurement, error) {
-	var times []float64
-	var extras []float64
-	var empties []float64
-	for trial := 0; trial < trials; trial++ {
-		if err := ctx.Err(); err != nil {
-			return Measurement{}, err
-		}
-		start := time.Now()
-		out, cost, err := inst.RunConcurrent(factory(trial), workload.ConcOptions{
-			Workers:   workers,
-			BatchSize: batch,
-			Policy:    policy,
-			Cancel:    ctx.Done(),
-		})
-		if err != nil {
-			return Measurement{}, err
-		}
-		times = append(times, time.Since(start).Seconds())
-		extras = append(extras, float64(cost.Wasted))
-		empties = append(empties, float64(cost.EmptyPolls))
-		if verify {
-			if err := inst.Matches(reference, out); err != nil {
-				return Measurement{}, err
-			}
-		}
-	}
-	return Measurement{
-		Threads:         workers,
-		Time:            stats.Summarize(times),
-		ExtraIterations: stats.Summarize(extras),
-		EmptyPolls:      stats.Summarize(empties),
-	}, nil
-}
-
-// Format renders the report as an aligned text table, one row per
-// (scheduler, threads) data point — the textual equivalent of one Figure 2
-// panel.
-func (rep Report) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "class=%s |V|=%d |E|=%d avg-degree=%.1f\n",
-		rep.Class.Name, rep.Class.Vertices, rep.Class.Edges, rep.Class.AverageDegree())
-	fmt.Fprintf(&b, "%-20s %8s %12s %12s %10s %14s\n",
-		"scheduler", "threads", "time-mean(s)", "time-min(s)", "speedup", "extra-iters")
-	fmt.Fprintf(&b, "%-20s %8d %12.4f %12.4f %10.2f %14s\n",
-		rep.Sequential.Scheduler, 1, rep.Sequential.Time.Mean, rep.Sequential.Time.Min, 1.0, "-")
-
-	sorted := append([]Measurement(nil), rep.Measurements...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Scheduler != sorted[j].Scheduler {
-			return sorted[i].Scheduler < sorted[j].Scheduler
-		}
-		return sorted[i].Threads < sorted[j].Threads
-	})
-	for _, m := range sorted {
-		fmt.Fprintf(&b, "%-20s %8d %12.4f %12.4f %10.2f %14.1f\n",
-			m.Scheduler, m.Threads, m.Time.Mean, m.Time.Min, m.Speedup, m.ExtraIterations.Mean)
-	}
-	return b.String()
-}
-
-// BestSpeedup returns the largest speedup achieved by the given scheduler in
-// the report (0 if the scheduler has no measurements).
-func (rep Report) BestSpeedup(scheduler string) float64 {
-	best := 0.0
-	for _, m := range rep.Measurements {
-		if m.Scheduler == scheduler && m.Speedup > best {
-			best = m.Speedup
-		}
-	}
-	return best
 }

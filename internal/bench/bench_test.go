@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"relaxsched/internal/core"
 )
 
 func TestDefaultClasses(t *testing.T) {
@@ -23,9 +25,10 @@ func TestDefaultClasses(t *testing.T) {
 			t.Fatalf("class %s has non-positive size", c.Name)
 		}
 	}
-	if sparse.AverageDegree() >= smallDense.AverageDegree() {
+	degree := func(c Class) float64 { return 2 * float64(c.Edges) / float64(c.Vertices) }
+	if degree(sparse) >= degree(smallDense) {
 		t.Fatalf("sparse class (deg %.1f) should be sparser than smalldense (deg %.1f)",
-			sparse.AverageDegree(), smallDense.AverageDegree())
+			degree(sparse), degree(smallDense))
 	}
 }
 
@@ -56,104 +59,105 @@ func TestDefaultThreadSweep(t *testing.T) {
 }
 
 func TestRunSmallPanelVerified(t *testing.T) {
-	// A miniature panel: small graph, verification on, 1-2 threads. This
-	// exercises the full harness (generation, sequential baseline, relaxed
-	// and exact parallel runs, determinism check).
-	cfg := Config{
-		Class:   Class{Name: "tiny", Vertices: 3000, Edges: 15000},
-		Threads: []int{1, 2},
-		Trials:  1,
-		Seed:    42,
-		Verify:  true,
-	}
-	report, err := Run(cfg)
+	// A Figure 2 panel is the sweep at one batch size: small graph,
+	// verification on, 1-2 workers, relaxed vs. exact. This exercises the
+	// full harness (generation, sequential baseline, relaxed and exact
+	// parallel runs, per-trial Matches).
+	report, err := RunScaling(ScalingConfig{
+		Class:      Class{Name: "tiny", Vertices: 3000, Edges: 15000},
+		Workers:    []int{1, 2},
+		Schedulers: []string{SchedulerRelaxed, SchedulerExact},
+		Trials:     1,
+		Seed:       42,
+		Verify:     true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Sequential.Time.Mean <= 0 {
+	if report.SequentialSeconds <= 0 {
 		t.Fatal("sequential baseline has no time")
 	}
-	if len(report.Measurements) != 4 {
-		t.Fatalf("got %d measurements, want 4 (2 schedulers x 2 thread counts)", len(report.Measurements))
+	if len(report.Points) != 4 {
+		t.Fatalf("got %d points, want 4 (2 schedulers x 2 worker counts)", len(report.Points))
 	}
-	for _, m := range report.Measurements {
-		if m.Time.Mean <= 0 {
-			t.Fatalf("measurement %s/%d has non-positive time", m.Scheduler, m.Threads)
-		}
-		if m.Speedup <= 0 {
-			t.Fatalf("measurement %s/%d has non-positive speedup", m.Scheduler, m.Threads)
+	for _, pt := range report.Points {
+		if pt.TimeMeanSeconds <= 0 || pt.Speedup <= 0 {
+			t.Fatalf("point %s/%d has non-positive time or speedup", pt.Scheduler, pt.Workers)
 		}
 	}
 	out := report.Format()
-	for _, want := range []string{"tiny", SchedulerRelaxed, SchedulerExact, SchedulerSequential, "threads"} {
+	for _, want := range []string{"tiny", SchedulerRelaxed, SchedulerExact, "seq=", "workers"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("formatted report missing %q:\n%s", want, out)
 		}
 	}
-	if report.BestSpeedup(SchedulerRelaxed) <= 0 {
-		t.Fatal("BestSpeedup returned 0 for relaxed scheduler")
-	}
-	if report.BestSpeedup("nonexistent") != 0 {
-		t.Fatal("BestSpeedup for unknown scheduler should be 0")
+	if report.BestThroughput(SchedulerRelaxed) <= 0 {
+		t.Fatal("BestThroughput returned 0 for relaxed scheduler")
 	}
 }
 
 func TestRunColoringAndMatchingPanels(t *testing.T) {
 	// The extension beyond the paper's Figure 2: the same harness drives the
 	// other framework algorithms. Tiny inputs, verification on.
-	for _, alg := range []Algorithm{AlgorithmColoring, AlgorithmMatching} {
-		cfg := Config{
-			Class:     Class{Name: "tiny", Vertices: 1200, Edges: 6000},
-			Algorithm: alg,
-			Threads:   []int{1, 2},
-			Trials:    1,
-			Seed:      9,
-			Verify:    true,
-		}
-		report, err := Run(cfg)
+	for _, alg := range []string{"coloring", "matching"} {
+		report, err := RunScaling(ScalingConfig{
+			Class:      Class{Name: "tiny", Vertices: 1200, Edges: 6000},
+			Algorithm:  alg,
+			Workers:    []int{1, 2},
+			Schedulers: []string{SchedulerRelaxed, SchedulerExact},
+			Trials:     1,
+			Seed:       9,
+			Verify:     true,
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		if len(report.Measurements) != 4 {
-			t.Fatalf("%s: got %d measurements, want 4", alg, len(report.Measurements))
+		if len(report.Points) != 4 {
+			t.Fatalf("%s: got %d points, want 4", alg, len(report.Points))
 		}
-		for _, m := range report.Measurements {
-			if m.Time.Mean <= 0 || m.Speedup <= 0 {
-				t.Fatalf("%s: bad measurement %+v", alg, m)
+		for _, pt := range report.Points {
+			if pt.TimeMeanSeconds <= 0 || pt.Speedup <= 0 {
+				t.Fatalf("%s: bad point %+v", alg, pt)
 			}
 		}
 	}
 }
 
 func TestRunUnknownAlgorithm(t *testing.T) {
-	cfg := Config{
+	cfg := ScalingConfig{
 		Class:     Class{Name: "tiny", Vertices: 100, Edges: 200},
 		Algorithm: "sorting",
-		Threads:   []int{1},
+		Workers:   []int{1},
 		Trials:    1,
 	}
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunScaling(cfg); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := RunScaling(ScalingConfig{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	cfg := Config{
-		Class:   Class{Name: "tiny", Vertices: 100, Edges: 200},
-		Threads: []int{0},
-		Trials:  1,
-	}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("zero thread count accepted")
+	for name, cfg := range map[string]ScalingConfig{
+		"zero workers":      {Workers: []int{0}},
+		"zero batch":        {BatchSizes: []int{0}},
+		"unknown scheduler": {Schedulers: []string{"galactic"}},
+	} {
+		cfg.Class = Class{Name: "tiny", Vertices: 100, Edges: 200}
+		cfg.Trials = 1
+		if _, err := RunScaling(cfg); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	cfg := Config{Class: Class{Name: "x", Vertices: 10, Edges: 5}}.withDefaults()
-	if cfg.Trials != 3 || cfg.QueueFactor <= 0 || len(cfg.Threads) == 0 {
+func TestScalingConfigDefaults(t *testing.T) {
+	cfg := ScalingConfig{Class: Class{Name: "x", Vertices: 10, Edges: 5}}.withDefaults()
+	if cfg.Algorithm != "mis" || cfg.Trials != 3 || cfg.QueueFactor <= 0 || len(cfg.Workers) == 0 || len(cfg.Schedulers) != 3 {
 		t.Fatalf("defaults not applied: %+v", cfg)
+	}
+	if len(cfg.BatchSizes) != 1 || cfg.BatchSizes[0] != core.DefaultBatchSize {
+		t.Fatalf("default batch sizes %v, want [%d]", cfg.BatchSizes, core.DefaultBatchSize)
 	}
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -9,39 +8,8 @@ func tinyClass() Class {
 	return Class{Name: "tiny", Vertices: 1200, Edges: 5000}
 }
 
-func TestDynamicPanelSSSPAndKCore(t *testing.T) {
-	for _, alg := range []Algorithm{AlgorithmSSSP, AlgorithmKCore} {
-		report, err := Run(Config{
-			Class:     tinyClass(),
-			Algorithm: alg,
-			Threads:   []int{1, 2},
-			Trials:    1,
-			Seed:      3,
-			Verify:    true,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", alg, err)
-		}
-		// 2 thread counts x 2 schedulers.
-		if len(report.Measurements) != 4 {
-			t.Fatalf("%s: got %d measurements, want 4", alg, len(report.Measurements))
-		}
-		for _, m := range report.Measurements {
-			if m.Time.Mean <= 0 {
-				t.Fatalf("%s: non-positive time in %+v", alg, m)
-			}
-			if m.Scheduler != SchedulerRelaxed && m.Scheduler != SchedulerExact {
-				t.Fatalf("%s: unexpected scheduler %q", alg, m.Scheduler)
-			}
-		}
-		if out := report.Format(); !strings.Contains(out, "tiny") {
-			t.Fatalf("%s: missing class name in format output:\n%s", alg, out)
-		}
-	}
-}
-
 func TestDynamicScalingSweepShape(t *testing.T) {
-	for _, alg := range []Algorithm{AlgorithmSSSP, AlgorithmKCore} {
+	for _, alg := range []string{"sssp", "kcore"} {
 		report, err := RunScaling(ScalingConfig{
 			Class:      tinyClass(),
 			Algorithm:  alg,
@@ -54,7 +22,7 @@ func TestDynamicScalingSweepShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		if report.Algorithm != string(alg) || report.Tasks != tinyClass().Vertices {
+		if report.Algorithm != alg || report.Tasks != tinyClass().Vertices {
 			t.Fatalf("%s: unexpected report header %+v", alg, report)
 		}
 		// 3 schedulers x 2 worker counts x 2 batch sizes.
@@ -71,11 +39,10 @@ func TestDynamicScalingSweepShape(t *testing.T) {
 
 func TestDynamicSweepDeltaBucketing(t *testing.T) {
 	// Coarse Δ buckets must keep the sweep exact (Verify is on) while
-	// changing only wasted work; the report is tagged with the algorithm so
-	// the regression gate keys stay distinct from MIS.
+	// changing only wasted work.
 	report, err := RunScaling(ScalingConfig{
 		Class:      tinyClass(),
-		Algorithm:  AlgorithmSSSP,
+		Algorithm:  "sssp",
 		Workers:    []int{2},
 		BatchSizes: []int{16},
 		Trials:     1,
@@ -99,68 +66,30 @@ func TestGridClassGeneration(t *testing.T) {
 	if c.Model != ModelGrid {
 		t.Fatalf("grid class model = %q", c.Model)
 	}
-	// A scaled-down grid panel end to end, verified.
-	report, err := Run(Config{
-		Class:     Class{Name: "minigrid", Vertices: 900, Edges: 1740, Model: ModelGrid},
-		Algorithm: AlgorithmSSSP,
-		Threads:   []int{1},
-		Trials:    1,
-		Seed:      11,
-		Verify:    true,
+	// A scaled-down grid sweep end to end, verified.
+	report, err := RunScaling(ScalingConfig{
+		Class:      Class{Name: "minigrid", Vertices: 900, Edges: 1740, Model: ModelGrid},
+		Algorithm:  "sssp",
+		Workers:    []int{1},
+		Schedulers: []string{SchedulerRelaxed, SchedulerExact},
+		Trials:     1,
+		Seed:       11,
+		Verify:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Measurements) != 2 {
-		t.Fatalf("got %d measurements, want 2", len(report.Measurements))
+	if report.Tasks != 900 || len(report.Points) != 2 {
+		t.Fatalf("got %d tasks and %d points, want 900 and 2", report.Tasks, len(report.Points))
 	}
 }
 
-func TestParseAlgorithm(t *testing.T) {
-	for name, want := range map[string]Algorithm{
-		"":         AlgorithmMIS,
-		"mis":      AlgorithmMIS,
-		"coloring": AlgorithmColoring,
-		"matching": AlgorithmMatching,
-		"sssp":     AlgorithmSSSP,
-		"kcore":    AlgorithmKCore,
-		"pagerank": AlgorithmPageRank,
-	} {
-		got, err := ParseAlgorithm(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseAlgorithm(%q) = %q, %v", name, got, err)
-		}
-	}
-	if _, err := ParseAlgorithm("galactic"); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-	if AlgorithmMIS.Dynamic() || !AlgorithmSSSP.Dynamic() || !AlgorithmKCore.Dynamic() || !AlgorithmPageRank.Dynamic() {
-		t.Fatal("Dynamic() misclassifies algorithms")
-	}
-}
-
-func TestPageRankPanelAndSweep(t *testing.T) {
-	// A loose tolerance keeps the panel fast; Verify compares every parallel
+func TestPageRankSweep(t *testing.T) {
+	// A loose tolerance keeps the sweep fast; Verify compares every parallel
 	// run against the power-iteration reference through the L1 budget.
-	report, err := Run(Config{
-		Class:     tinyClass(),
-		Algorithm: AlgorithmPageRank,
-		Threads:   []int{1, 2},
-		Trials:    1,
-		Tolerance: 1e-6,
-		Seed:      3,
-		Verify:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Measurements) != 4 {
-		t.Fatalf("got %d measurements, want 4", len(report.Measurements))
-	}
-
 	sweep, err := RunScaling(ScalingConfig{
 		Class:      tinyClass(),
-		Algorithm:  AlgorithmPageRank,
+		Algorithm:  "pagerank",
 		Workers:    []int{1, 2},
 		BatchSizes: []int{1, 16},
 		Trials:     1,
@@ -171,7 +100,7 @@ func TestPageRankPanelAndSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sweep.Algorithm != string(AlgorithmPageRank) {
+	if sweep.Algorithm != "pagerank" {
 		t.Fatalf("unexpected sweep header %+v", sweep)
 	}
 	// 3 schedulers x 2 worker counts x 2 batch sizes.
@@ -185,23 +114,24 @@ func TestPageRankPanelAndSweep(t *testing.T) {
 	}
 }
 
-func TestPageRankPowerLawPanelVerified(t *testing.T) {
+func TestPageRankPowerLawVerified(t *testing.T) {
 	// The hub-heavy case the sweep tracks, scaled down: power-law degrees
 	// concentrate residual mass at the hubs, the interesting regime for
 	// residual-ordered scheduling.
-	report, err := Run(Config{
-		Class:     Class{Name: "miniplaw", Vertices: 1500, Edges: 6000, Model: ModelPowerLaw, Exponent: 2.5},
-		Algorithm: AlgorithmPageRank,
-		Threads:   []int{2},
-		Trials:    1,
-		Tolerance: 1e-7,
-		Seed:      13,
-		Verify:    true,
+	report, err := RunScaling(ScalingConfig{
+		Class:      Class{Name: "miniplaw", Vertices: 1500, Edges: 6000, Model: ModelPowerLaw, Exponent: 2.5},
+		Algorithm:  "pagerank",
+		Workers:    []int{2},
+		Schedulers: []string{SchedulerRelaxed, SchedulerExact},
+		Trials:     1,
+		Tolerance:  1e-7,
+		Seed:       13,
+		Verify:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Measurements) != 2 {
-		t.Fatalf("got %d measurements, want 2", len(report.Measurements))
+	if len(report.Points) != 2 {
+		t.Fatalf("got %d points, want 2", len(report.Points))
 	}
 }

@@ -1,56 +1,40 @@
 package bench
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
+	"time"
 
 	"relaxsched/internal/core"
 	"relaxsched/internal/sched"
 	"relaxsched/internal/sched/faaqueue"
 	"relaxsched/internal/sched/kbounded"
 	"relaxsched/internal/sched/multiqueue"
+	"relaxsched/internal/stats"
 	"relaxsched/internal/workload"
 )
-
-// SchedulerLockedKBounded names the coarse-locked deterministic k-bounded
-// scheduler in sweep measurements. It exercises the sched.Batcher path: one
-// lock acquisition per batch with native batch operations inside.
-const SchedulerLockedKBounded = "locked-kbounded"
 
 // DefaultQueueFactor is the number of MultiQueue sub-queues per thread
 // (4, as in the paper).
 const DefaultQueueFactor = multiqueue.DefaultQueueFactor
 
-// DefaultBatchSweep returns the batch sizes the scaling sweep measures:
-// 1 (the single-item discipline), the executor default, and one size in
-// between and one beyond, so the throughput-versus-relaxation tradeoff is
-// visible in the output.
-func DefaultBatchSweep() []int {
-	return []int{1, 4, core.DefaultBatchSize, 64}
-}
-
-// DefaultWorkerSweep returns 1, 2, 4, ... up to NumCPU, always including
-// NumCPU itself — the x-axis of the scaling sweep.
-func DefaultWorkerSweep() []int {
-	return DefaultThreadSweep()
-}
-
 // ScalingConfig configures RunScaling, the worker-scaling sweep behind
 // BENCH_concurrent.json.
 type ScalingConfig struct {
 	Class Class
-	// Algorithm selects the workload (default AlgorithmMIS).
-	Algorithm Algorithm
+	// Algorithm is the registered workload to run (default "mis", the
+	// workload of Figure 2).
+	Algorithm string
 	// Workers is the list of worker counts to sweep (default
-	// DefaultWorkerSweep).
+	// DefaultThreadSweep).
 	Workers []int
-	// BatchSizes is the list of executor batch sizes to sweep (default
-	// DefaultBatchSweep).
+	// BatchSizes is the list of executor batch sizes to sweep (default: the
+	// executor default, core.DefaultBatchSize).
 	BatchSizes []int
 	// Schedulers is the list of scheduler names to sweep (default
 	// SchedulerRelaxed, SchedulerExact and SchedulerLockedKBounded).
@@ -60,27 +44,28 @@ type ScalingConfig struct {
 	// QueueFactor is the number of MultiQueue sub-queues per thread
 	// (default 4, as in the paper).
 	QueueFactor int
-	// Delta is the Δ-stepping bucket width for AlgorithmSSSP (0 or 1 keep
-	// exact distance priorities); other algorithms ignore it.
+	// Delta is the Δ-stepping bucket width for sssp (0 or 1 keep exact
+	// distance priorities); other algorithms ignore it.
 	Delta uint32
-	// Tolerance is the target L1 error for AlgorithmPageRank (0 selects the
-	// workload default 1e-9); other algorithms ignore it.
+	// Tolerance is the target L1 error for pagerank (0 selects the workload
+	// default 1e-9); other algorithms ignore it.
 	Tolerance float64
 	// Seed makes graph generation and permutations reproducible.
 	Seed uint64
-	// Verify makes every run check its output against the sequential oracle.
+	// Verify makes every run check its output against the sequential
+	// reference through the workload's Matches.
 	Verify bool
 }
 
 func (c ScalingConfig) withDefaults() ScalingConfig {
 	if c.Algorithm == "" {
-		c.Algorithm = AlgorithmMIS
+		c.Algorithm = "mis"
 	}
 	if len(c.Workers) == 0 {
-		c.Workers = DefaultWorkerSweep()
+		c.Workers = DefaultThreadSweep()
 	}
 	if len(c.BatchSizes) == 0 {
-		c.BatchSizes = DefaultBatchSweep()
+		c.BatchSizes = []int{core.DefaultBatchSize}
 	}
 	if len(c.Schedulers) == 0 {
 		c.Schedulers = []string{SchedulerRelaxed, SchedulerExact, SchedulerLockedKBounded}
@@ -146,17 +131,11 @@ type ScalingReport struct {
 // registered workload it measures throughput for every (scheduler, workers,
 // batch size) combination against the sequential baseline.
 func RunScaling(cfg ScalingConfig) (ScalingReport, error) {
-	return RunScalingContext(context.Background(), cfg)
-}
-
-// RunScalingContext is RunScaling with cancellation, checked between trials
-// and inside in-flight concurrent trials (see RunContext).
-func RunScalingContext(ctx context.Context, cfg ScalingConfig) (ScalingReport, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Class.Vertices <= 0 {
 		return ScalingReport{}, fmt.Errorf("bench: class has no vertices")
 	}
-	inst, seqTime, reference, err := buildPanel(cfg.Class, cfg.Algorithm, cfg.Trials, cfg.Seed, cfg.params())
+	inst, seqTime, reference, err := bind(cfg.Class, cfg.Algorithm, cfg.Trials, cfg.Seed, cfg.params())
 	if err != nil {
 		return ScalingReport{}, err
 	}
@@ -170,7 +149,7 @@ func RunScalingContext(ctx context.Context, cfg ScalingConfig) (ScalingReport, e
 		Vertices:          cfg.Class.Vertices,
 		Edges:             cfg.Class.Edges,
 		Model:             model,
-		Algorithm:         string(cfg.Algorithm),
+		Algorithm:         cfg.Algorithm,
 		Tasks:             inst.NumTasks(),
 		NumCPU:            runtime.NumCPU(),
 		Trials:            cfg.Trials,
@@ -191,26 +170,53 @@ func RunScalingContext(ctx context.Context, cfg ScalingConfig) (ScalingReport, e
 				if batch < 1 {
 					return ScalingReport{}, fmt.Errorf("bench: invalid batch size %d", batch)
 				}
-				m, err := runParallel(ctx, inst, cfg.Trials, cfg.Verify, workers, batch, reference, variant.policy,
-					func(trial int) sched.Concurrent { return variant.factory(workers, trial) })
+				pt, err := measure(inst, cfg, variant, workers, batch, reference)
 				if err != nil {
 					return ScalingReport{}, fmt.Errorf("bench: %s at %d workers batch %d: %w", name, workers, batch, err)
 				}
-				report.Points = append(report.Points, ScalingPoint{
-					Scheduler:             name,
-					Workers:               workers,
-					BatchSize:             batch,
-					TimeMeanSeconds:       m.Time.Mean,
-					TimeMinSeconds:        m.Time.Min,
-					ThroughputTasksPerSec: float64(inst.NumTasks()) / m.Time.Mean,
-					Speedup:               report.SequentialSeconds / m.Time.Mean,
-					ExtraIterationsMean:   m.ExtraIterations.Mean,
-					EmptyPollsMean:        m.EmptyPolls.Mean,
-				})
+				pt.Scheduler = name
+				pt.Speedup = report.SequentialSeconds / pt.TimeMeanSeconds
+				report.Points = append(report.Points, pt)
 			}
 		}
 	}
 	return report, nil
+}
+
+// measure times one (scheduler, workers, batch) point: cfg.Trials runs
+// through the registry instance, each checked against the sequential
+// reference when cfg.Verify is set.
+func measure(inst workload.Instance, cfg ScalingConfig, v sweepVariant, workers, batch int, reference workload.Output) (ScalingPoint, error) {
+	var times, extras, empties []float64
+	for trial := 0; trial < cfg.Trials; trial++ {
+		start := time.Now()
+		out, cost, err := inst.RunConcurrent(v.factory(workers, trial), workload.ConcOptions{
+			Workers:   workers,
+			BatchSize: batch,
+			Policy:    v.policy,
+		})
+		if err != nil {
+			return ScalingPoint{}, err
+		}
+		times = append(times, time.Since(start).Seconds())
+		extras = append(extras, float64(cost.Wasted))
+		empties = append(empties, float64(cost.EmptyPolls))
+		if cfg.Verify {
+			if err := inst.Matches(reference, out); err != nil {
+				return ScalingPoint{}, err
+			}
+		}
+	}
+	t := stats.Summarize(times)
+	return ScalingPoint{
+		Workers:               workers,
+		BatchSize:             batch,
+		TimeMeanSeconds:       t.Mean,
+		TimeMinSeconds:        t.Min,
+		ThroughputTasksPerSec: float64(inst.NumTasks()) / t.Mean,
+		ExtraIterationsMean:   stats.Summarize(extras).Mean,
+		EmptyPollsMean:        stats.Summarize(empties).Mean,
+	}, nil
 }
 
 // sweepVariant maps a sweep scheduler name to its blocked-task policy
@@ -221,9 +227,6 @@ type sweepVariant struct {
 }
 
 func schedulerVariant(name string, queueFactor int, seed uint64, numTasks int) (sweepVariant, error) {
-	if queueFactor <= 0 {
-		queueFactor = DefaultQueueFactor
-	}
 	switch name {
 	case SchedulerRelaxed:
 		return sweepVariant{
@@ -249,19 +252,32 @@ func schedulerVariant(name string, queueFactor int, seed uint64, numTasks int) (
 	}
 }
 
-// WriteJSON writes the report as indented JSON.
-func (rep ScalingReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
 // WriteScalingReports writes several sweep reports (one per graph class) as
 // a single indented JSON array — the layout of BENCH_concurrent.json.
 func WriteScalingReports(w io.Writer, reports []ScalingReport) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(reports)
+}
+
+// ReadScalingReports parses a JSON array of sweep reports as written by
+// WriteScalingReports.
+func ReadScalingReports(r io.Reader) ([]ScalingReport, error) {
+	var reports []ScalingReport
+	if err := json.NewDecoder(r).Decode(&reports); err != nil {
+		return nil, fmt.Errorf("bench: parsing sweep reports: %w", err)
+	}
+	return reports, nil
+}
+
+// ReadScalingReportsFile reads a sweep-report JSON file.
+func ReadScalingReportsFile(path string) ([]ScalingReport, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("bench: opening sweep reports: %w", err)
+	}
+	defer f.Close()
+	return ReadScalingReports(f)
 }
 
 // Format renders the sweep as an aligned text table.

@@ -63,11 +63,6 @@ func New(capacity int) *Heap {
 	return &Heap{run: make([]uint64, 0, capacity), heap: make([]uint64, 0, capacity)}
 }
 
-// Factory returns a sched.Factory producing exact heaps.
-func Factory() sched.Factory {
-	return func(capacity int) sched.Scheduler { return New(capacity) }
-}
-
 // Insert adds an item.
 func (h *Heap) Insert(it sched.Item) { h.push(it.Key()) }
 

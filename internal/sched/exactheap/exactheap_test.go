@@ -315,15 +315,6 @@ func TestNewPresizesBothParts(t *testing.T) {
 	}
 }
 
-func TestFactory(t *testing.T) {
-	f := Factory()
-	s := f(10)
-	s.Insert(sched.Item{Task: 0, Priority: 3})
-	if s.Len() != 1 {
-		t.Fatal("factory-produced heap broken")
-	}
-}
-
 func BenchmarkInsertDelete(b *testing.B) {
 	h := New(1024)
 	r := rng.New(1)

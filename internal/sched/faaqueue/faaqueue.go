@@ -68,11 +68,6 @@ func New(capacity int) *Queue {
 	return q
 }
 
-// ConcurrentFactory returns a sched.ConcurrentFactory producing FIFO queues.
-func ConcurrentFactory() sched.ConcurrentFactory {
-	return func(capacity, workers int) sched.Concurrent { return New(capacity) }
-}
-
 func pack(it sched.Item) uint64 {
 	return uint64(it.Priority)<<32 | uint64(uint32(it.Task))
 }

@@ -191,16 +191,6 @@ func (a *atomic64) load() int64 {
 	return a.v
 }
 
-func TestFactory(t *testing.T) {
-	f := ConcurrentFactory()
-	q := f(100, 4)
-	q.Insert(sched.Item{Task: 7, Priority: 3})
-	it, ok := q.ApproxGetMin()
-	if !ok || it.Task != 7 {
-		t.Fatalf("factory queue returned %v, %v", it, ok)
-	}
-}
-
 func BenchmarkEnqueueDequeue(b *testing.B) {
 	q := New(0)
 	for i := 0; i < 1024; i++ {

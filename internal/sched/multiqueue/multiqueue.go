@@ -234,20 +234,6 @@ func NewConcurrent(c, capacity int, seed uint64) *Concurrent {
 	return mq
 }
 
-// ConcurrentFactory returns a sched.ConcurrentFactory producing MultiQueues
-// with queueFactor sub-queues per worker (the paper uses 4).
-func ConcurrentFactory(queueFactor int, seed uint64) sched.ConcurrentFactory {
-	if queueFactor < 1 {
-		queueFactor = DefaultQueueFactor
-	}
-	return func(capacity, workers int) sched.Concurrent {
-		if workers < 1 {
-			workers = 1
-		}
-		return NewConcurrent(queueFactor*workers, capacity, seed)
-	}
-}
-
 // NumQueues returns the number of sub-queues.
 func (m *Concurrent) NumQueues() int { return len(m.queues) }
 

@@ -225,18 +225,6 @@ func TestConcurrentParallelInsertAndDrain(t *testing.T) {
 	}
 }
 
-func TestConcurrentFactoryDefaults(t *testing.T) {
-	f := ConcurrentFactory(0, 1)
-	q := f(100, 3).(*Concurrent)
-	if q.NumQueues() != 3*DefaultQueueFactor {
-		t.Fatalf("NumQueues = %d, want %d", q.NumQueues(), 3*DefaultQueueFactor)
-	}
-	q2 := f(100, 0).(*Concurrent)
-	if q2.NumQueues() != DefaultQueueFactor {
-		t.Fatalf("NumQueues = %d, want %d for zero workers", q2.NumQueues(), DefaultQueueFactor)
-	}
-}
-
 func BenchmarkConcurrentInsertDelete(b *testing.B) {
 	m := NewConcurrent(16, 1024, 1)
 	for i := 0; i < 1024; i++ {

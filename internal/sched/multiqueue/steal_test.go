@@ -208,7 +208,11 @@ func TestWorkerHandleNoLossNoDuplication(t *testing.T) {
 
 	var mu sync.Mutex
 	seen := make([]int, n)
-	var wg sync.WaitGroup
+	var wg, firstPops sync.WaitGroup
+	// Worker 0 starts only after every other worker has made its first pop,
+	// so on a loaded machine it cannot drain its shard before the others run;
+	// those first pops find an empty home shard and a full shard 0.
+	firstPops.Add(workers - 1)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -216,8 +220,14 @@ func TestWorkerHandleNoLossNoDuplication(t *testing.T) {
 			h := mq.WorkerHandle(w, workers)
 			out := make([]sched.Item, 13)
 			local := make([]int32, 0, n/workers)
-			for {
+			if w == 0 {
+				firstPops.Wait()
+			}
+			for pops := 0; ; pops++ {
 				got := h.ApproxPopBatch(out)
+				if w != 0 && pops == 0 {
+					firstPops.Done()
+				}
 				if got == 0 {
 					break
 				}

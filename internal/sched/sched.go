@@ -173,11 +173,7 @@ func WithDefaultBatch(s Single) Concurrent {
 }
 
 // Factory constructs a fresh sequential-model scheduler sized for
-// approximately capacity items. The simulation and benchmark harnesses use
-// factories so a single experiment definition can sweep scheduler families
-// and relaxation parameters.
+// approximately capacity items. The simulation harness uses factories so a
+// single experiment definition can sweep scheduler families and relaxation
+// parameters.
 type Factory func(capacity int) Scheduler
-
-// ConcurrentFactory constructs a fresh concurrent scheduler sized for
-// approximately capacity items and the given number of worker goroutines.
-type ConcurrentFactory func(capacity, workers int) Concurrent

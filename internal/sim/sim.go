@@ -7,20 +7,24 @@
 // A simulation cell fixes an algorithm, an input size (|V|, |E|), a scheduler
 // family, a relaxation factor k and a number of trials; each trial draws a
 // fresh random input and priority permutation, runs the relaxed framework,
-// and records the extra iterations. Sweeps over k, |V| and |E| reproduce
-// Table 1 (MIS with a MultiQueue) and validate the theorems' scaling claims
-// for the other algorithms.
+// checks its output against the sequential algorithm's, and records the
+// extra iterations. Sweeps over k, |V| and |E| reproduce Table 1 (MIS with a
+// MultiQueue) and validate the theorems' scaling claims for the other
+// algorithms.
+//
+// Graph algorithms are the static workloads of the internal/workload
+// registry (mis, matching, coloring, and any later static registration);
+// list contraction and Knuth shuffle take no graph and run as the two cases
+// local to this package.
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
-	"relaxsched/internal/algos/coloring"
 	"relaxsched/internal/algos/listcontract"
-	"relaxsched/internal/algos/matching"
-	"relaxsched/internal/algos/mis"
 	"relaxsched/internal/algos/shuffle"
 	"relaxsched/internal/core"
 	"relaxsched/internal/graph"
@@ -31,24 +35,14 @@ import (
 	"relaxsched/internal/sched/spraylist"
 	"relaxsched/internal/sched/topk"
 	"relaxsched/internal/stats"
+	"relaxsched/internal/workload"
 )
 
-// Algorithm selects which iterative algorithm a simulation cell runs.
-type Algorithm string
-
-// Supported algorithms.
+// The graph-free algorithms, which are not registry workloads.
 const (
-	AlgMIS          Algorithm = "mis"
-	AlgMatching     Algorithm = "matching"
-	AlgColoring     Algorithm = "coloring"
-	AlgListContract Algorithm = "listcontract"
-	AlgShuffle      Algorithm = "shuffle"
+	algListContract = "listcontract"
+	algShuffle      = "shuffle"
 )
-
-// Algorithms lists the supported algorithms in a stable order.
-func Algorithms() []Algorithm {
-	return []Algorithm{AlgMIS, AlgMatching, AlgColoring, AlgListContract, AlgShuffle}
-}
 
 // Scheduler selects which relaxed scheduler family a simulation cell uses.
 type Scheduler string
@@ -68,8 +62,9 @@ func Schedulers() []Scheduler {
 
 // Config describes one simulation cell.
 type Config struct {
-	// Algorithm to execute (default AlgMIS).
-	Algorithm Algorithm
+	// Algorithm is a static workload name from the internal/workload
+	// registry, or listcontract or shuffle (default "mis").
+	Algorithm string
 	// Scheduler family to use (default SchedMultiQueue).
 	Scheduler Scheduler
 	// Vertices is |V| of the random input graph (or the number of list nodes
@@ -79,11 +74,12 @@ type Config struct {
 	// contraction and shuffle workloads, whose dependency structure is
 	// inherently sparse.
 	Edges int64
-	// K is the relaxation factor: the number of MultiQueue sub-queues, the
-	// top-k width, the spray parameter, or the k-bounded window.
+	// K is the relaxation factor (at least 1): the number of MultiQueue
+	// sub-queues, the top-k width, the spray parameter, or the k-bounded
+	// window.
 	K int
 	// Trials is the number of independent repetitions (fresh input and
-	// permutation each time). Default 1.
+	// permutation each time), at least 1.
 	Trials int
 	// Seed makes the cell reproducible.
 	Seed uint64
@@ -91,27 +87,36 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Algorithm == "" {
-		c.Algorithm = AlgMIS
+		c.Algorithm = "mis"
 	}
 	if c.Scheduler == "" {
 		c.Scheduler = SchedMultiQueue
 	}
-	if c.Trials <= 0 {
-		c.Trials = 1
-	}
-	if c.K < 1 {
-		c.K = 1
-	}
 	return c
+}
+
+// descriptor resolves a graph algorithm through the workload registry; it
+// returns nil for the two graph-free algorithms local to this package.
+func descriptor(alg string) (*workload.Descriptor, error) {
+	if alg == algListContract || alg == algShuffle {
+		return nil, nil
+	}
+	d, err := workload.Lookup(alg)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	if d.Kind != workload.Static {
+		return nil, fmt.Errorf("sim: %q is a dynamic workload; the simulations count the static framework's extra iterations", alg)
+	}
+	return d, nil
 }
 
 // Validate reports whether the configuration is runnable.
 func (c Config) Validate() error {
 	c = c.withDefaults()
-	switch c.Algorithm {
-	case AlgMIS, AlgMatching, AlgColoring, AlgListContract, AlgShuffle:
-	default:
-		return fmt.Errorf("sim: unknown algorithm %q", c.Algorithm)
+	d, err := descriptor(c.Algorithm)
+	if err != nil {
+		return err
 	}
 	switch c.Scheduler {
 	case SchedMultiQueue, SchedTopK, SchedSprayList, SchedKBounded:
@@ -122,14 +127,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: vertex count must be positive, got %d", c.Vertices)
 	}
 	maxEdges := int64(c.Vertices) * int64(c.Vertices-1) / 2
-	if needsGraph(c.Algorithm) && (c.Edges < 0 || c.Edges > maxEdges) {
+	if d != nil && (c.Edges < 0 || c.Edges > maxEdges) {
 		return fmt.Errorf("sim: edge count %d invalid for %d vertices", c.Edges, c.Vertices)
 	}
+	if c.K < 1 {
+		return fmt.Errorf("sim: relaxation factor must be at least 1, got %d", c.K)
+	}
+	if c.Trials < 1 {
+		return fmt.Errorf("sim: trial count must be at least 1, got %d", c.Trials)
+	}
 	return nil
-}
-
-func needsGraph(a Algorithm) bool {
-	return a == AlgMIS || a == AlgMatching || a == AlgColoring
 }
 
 // CellResult is the outcome of one simulation cell.
@@ -138,10 +145,6 @@ type CellResult struct {
 	// ExtraIterations summarizes iterations beyond the unavoidable one per
 	// task across trials — the quantity in Table 1.
 	ExtraIterations stats.Summary
-	// FailedDeletes summarizes re-insertions due to blocked tasks.
-	FailedDeletes stats.Summary
-	// DeadSkips summarizes deliveries of dead tasks (MIS/matching only).
-	DeadSkips stats.Summary
 	// Tasks is the number of framework tasks per trial (|V| for vertex
 	// algorithms, |E| for matching).
 	Tasks int
@@ -161,75 +164,84 @@ func schedulerFactory(kind Scheduler, k int, r *rng.Rand) sched.Factory {
 	}
 }
 
-// RunCell runs one simulation cell and returns its aggregated result.
+// RunCell runs one simulation cell and returns its aggregated result. Every
+// trial's output is checked against the sequential algorithm's on the same
+// input; a mismatch fails the cell.
 func RunCell(cfg Config) (CellResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return CellResult{}, err
 	}
+	d, _ := descriptor(cfg.Algorithm) // Validate resolved it without error
 	r := rng.New(cfg.Seed ^ 0x5eed5eed5eed5eed)
 	factory := schedulerFactory(cfg.Scheduler, cfg.K, r.Fork())
 
 	extras := make([]float64, 0, cfg.Trials)
-	failed := make([]float64, 0, cfg.Trials)
-	skips := make([]float64, 0, cfg.Trials)
 	tasks := 0
 	for trial := 0; trial < cfg.Trials; trial++ {
-		res, numTasks, err := runTrial(cfg, r, factory)
+		extra, numTasks, err := runTrial(cfg, d, r, factory)
 		if err != nil {
-			return CellResult{}, fmt.Errorf("sim: trial %d: %w", trial, err)
+			return CellResult{}, fmt.Errorf("sim: %s trial %d: %w", cfg.Algorithm, trial, err)
 		}
 		tasks = numTasks
-		extras = append(extras, float64(res.ExtraIterations()))
-		failed = append(failed, float64(res.FailedDeletes))
-		skips = append(skips, float64(res.DeadSkips))
+		extras = append(extras, float64(extra))
 	}
 	return CellResult{
 		Config:          cfg,
 		ExtraIterations: stats.Summarize(extras),
-		FailedDeletes:   stats.Summarize(failed),
-		DeadSkips:       stats.Summarize(skips),
 		Tasks:           tasks,
 	}, nil
 }
 
-// runTrial draws a fresh input and permutation and executes one relaxed run.
-func runTrial(cfg Config, r *rng.Rand, factory sched.Factory) (core.Result, int, error) {
+// errMismatch reports a relaxed run whose output differs from the
+// sequential algorithm's.
+var errMismatch = errors.New("relaxed output differs from the sequential output")
+
+// runTrial draws a fresh input and permutation, executes one relaxed run,
+// checks it against the sequential output, and returns its extra
+// iterations and task count. d is nil for the graph-free algorithms.
+func runTrial(cfg Config, d *workload.Descriptor, r *rng.Rand, factory sched.Factory) (int64, int, error) {
+	n := cfg.Vertices
 	switch cfg.Algorithm {
-	case AlgListContract:
-		n := cfg.Vertices
+	case algListContract:
 		p := listcontract.NewRandomList(n, r)
 		labels := core.RandomLabels(n, r)
-		_, _, res, err := listcontract.RunRelaxed(p, labels, factory(n))
-		return res, n, err
-	case AlgShuffle:
-		n := cfg.Vertices
+		prev, next, res, err := listcontract.RunRelaxed(p, labels, factory(n))
+		if err != nil {
+			return 0, 0, err
+		}
+		if seqPrev, seqNext := listcontract.Sequential(p, labels); !listcontract.Equal(prev, next, seqPrev, seqNext) {
+			return 0, 0, errMismatch
+		}
+		return res.ExtraIterations(), n, nil
+	case algShuffle:
 		targets := shuffle.RandomTargets(n, r)
-		_, res, err := shuffle.RunRelaxed(targets, factory(n))
-		return res, n, err
+		perm, res, err := shuffle.RunRelaxed(targets, factory(n))
+		if err != nil {
+			return 0, 0, err
+		}
+		if !shuffle.Equal(perm, shuffle.Sequential(targets)) {
+			return 0, 0, errMismatch
+		}
+		return res.ExtraIterations(), n, nil
 	}
 
-	g, err := graph.GNM(cfg.Vertices, cfg.Edges, r)
+	g, err := graph.GNM(n, cfg.Edges, r)
 	if err != nil {
-		return core.Result{}, 0, err
+		return 0, 0, err
 	}
-	switch cfg.Algorithm {
-	case AlgMIS:
-		labels := core.RandomLabels(g.NumVertices(), r)
-		_, res, err := mis.RunRelaxed(g, labels, factory(g.NumVertices()))
-		return res, g.NumVertices(), err
-	case AlgMatching:
-		m := int(g.NumEdges())
-		labels := core.RandomLabels(m, r)
-		_, res, err := matching.RunRelaxed(g, labels, factory(m))
-		return res, m, err
-	case AlgColoring:
-		labels := core.RandomLabels(g.NumVertices(), r)
-		_, res, err := coloring.RunRelaxed(g, labels, factory(g.NumVertices()))
-		return res, g.NumVertices(), err
-	default:
-		return core.Result{}, 0, fmt.Errorf("sim: unknown algorithm %q", cfg.Algorithm)
+	inst, err := d.New(g, workload.Params{Seed: r.Uint64()})
+	if err != nil {
+		return 0, 0, err
 	}
+	out, cost, err := inst.RunRelaxed(factory(inst.NumTasks()))
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := inst.Matches(inst.RunSequential(), out); err != nil {
+		return 0, 0, err
+	}
+	return cost.Wasted, inst.NumTasks(), nil
 }
 
 // Size is an input-size cell of a sweep.
@@ -255,7 +267,7 @@ func Table1Ks() []int { return []int{4, 8, 16, 32, 64} }
 
 // Sweep runs a full grid of cells (every size crossed with every k) for one
 // algorithm/scheduler pair.
-func Sweep(alg Algorithm, schedKind Scheduler, sizes []Size, ks []int, trials int, seed uint64) ([]CellResult, error) {
+func Sweep(alg string, schedKind Scheduler, sizes []Size, ks []int, trials int, seed uint64) ([]CellResult, error) {
 	results := make([]CellResult, 0, len(sizes)*len(ks))
 	for _, size := range sizes {
 		for _, k := range ks {

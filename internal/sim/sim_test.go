@@ -3,7 +3,21 @@ package sim
 import (
 	"strings"
 	"testing"
+
+	"relaxsched/internal/workload"
 )
+
+// algorithms returns every algorithm a cell accepts: the registry's static
+// workloads plus the two graph-free ones.
+func algorithms() []string {
+	var names []string
+	for _, d := range workload.All() {
+		if d.Kind == workload.Static {
+			names = append(names, d.Name)
+		}
+	}
+	return append(names, algListContract, algShuffle)
+}
 
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
@@ -11,14 +25,18 @@ func TestConfigValidate(t *testing.T) {
 		cfg  Config
 		ok   bool
 	}{
-		{"defaults applied", Config{Vertices: 100, Edges: 200}, true},
-		{"explicit mis multiqueue", Config{Algorithm: AlgMIS, Scheduler: SchedMultiQueue, Vertices: 50, Edges: 100, K: 4}, true},
-		{"listcontract ignores edges", Config{Algorithm: AlgListContract, Vertices: 50, Edges: -5}, true},
-		{"unknown algorithm", Config{Algorithm: "foo", Vertices: 10, Edges: 5}, false},
-		{"unknown scheduler", Config{Scheduler: "bar", Vertices: 10, Edges: 5}, false},
-		{"zero vertices", Config{Vertices: 0, Edges: 0}, false},
-		{"too many edges", Config{Vertices: 10, Edges: 100}, false},
-		{"negative edges graph alg", Config{Algorithm: AlgColoring, Vertices: 10, Edges: -1}, false},
+		{"defaults applied", Config{Vertices: 100, Edges: 200, K: 1, Trials: 1}, true},
+		{"explicit mis multiqueue", Config{Algorithm: "mis", Scheduler: SchedMultiQueue, Vertices: 50, Edges: 100, K: 4, Trials: 1}, true},
+		{"listcontract ignores edges", Config{Algorithm: algListContract, Vertices: 50, Edges: -5, K: 4, Trials: 1}, true},
+		{"unknown algorithm", Config{Algorithm: "foo", Vertices: 10, Edges: 5, K: 4, Trials: 1}, false},
+		{"dynamic workload", Config{Algorithm: "sssp", Vertices: 10, Edges: 5, K: 4, Trials: 1}, false},
+		{"unknown scheduler", Config{Scheduler: "bar", Vertices: 10, Edges: 5, K: 4, Trials: 1}, false},
+		{"zero vertices", Config{Vertices: 0, Edges: 0, K: 4, Trials: 1}, false},
+		{"too many edges", Config{Vertices: 10, Edges: 100, K: 4, Trials: 1}, false},
+		{"negative edges graph alg", Config{Algorithm: "coloring", Vertices: 10, Edges: -1, K: 4, Trials: 1}, false},
+		{"zero k", Config{Vertices: 100, Edges: 200, K: 0, Trials: 1}, false},
+		{"negative k", Config{Vertices: 100, Edges: 200, K: -3, Trials: 1}, false},
+		{"zero trials", Config{Vertices: 100, Edges: 200, K: 4, Trials: 0}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -34,8 +52,8 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestEnumerations(t *testing.T) {
-	if len(Algorithms()) != 5 {
-		t.Fatalf("Algorithms() has %d entries", len(Algorithms()))
+	if len(algorithms()) < 5 {
+		t.Fatalf("algorithms() = %v, want the 3 static workloads plus listcontract and shuffle", algorithms())
 	}
 	if len(Schedulers()) != 4 {
 		t.Fatalf("Schedulers() has %d entries", len(Schedulers()))
@@ -47,7 +65,7 @@ func TestEnumerations(t *testing.T) {
 
 func TestRunCellMISProducesSaneNumbers(t *testing.T) {
 	cell, err := RunCell(Config{
-		Algorithm: AlgMIS,
+		Algorithm: "mis",
 		Scheduler: SchedMultiQueue,
 		Vertices:  1000,
 		Edges:     10000,
@@ -75,27 +93,30 @@ func TestRunCellMISProducesSaneNumbers(t *testing.T) {
 }
 
 func TestRunCellAllAlgorithmsAndSchedulers(t *testing.T) {
-	for _, alg := range Algorithms() {
+	// Every trial is checked against the sequential output inside RunCell,
+	// so a passing cell is a verified one.
+	for _, alg := range algorithms() {
 		for _, sk := range Schedulers() {
-			cfg := Config{
-				Algorithm: alg,
-				Scheduler: sk,
-				Vertices:  200,
-				Edges:     600,
-				K:         8,
-				Trials:    1,
-				Seed:      7,
-			}
-			cell, err := RunCell(cfg)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", alg, sk, err)
-			}
-			if cell.Tasks <= 0 {
-				t.Fatalf("%s/%s: no tasks recorded", alg, sk)
-			}
-			if cell.ExtraIterations.Mean < 0 {
-				t.Fatalf("%s/%s: negative extra iterations", alg, sk)
-			}
+			t.Run(alg+"/"+string(sk), func(t *testing.T) {
+				cell, err := RunCell(Config{
+					Algorithm: alg,
+					Scheduler: sk,
+					Vertices:  200,
+					Edges:     600,
+					K:         8,
+					Trials:    2,
+					Seed:      7,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cell.Tasks <= 0 {
+					t.Fatal("no tasks recorded")
+				}
+				if cell.ExtraIterations.Mean < 0 {
+					t.Fatal("negative extra iterations")
+				}
+			})
 		}
 	}
 }
@@ -103,35 +124,42 @@ func TestRunCellAllAlgorithmsAndSchedulers(t *testing.T) {
 func TestRunCellExactWhenKOne(t *testing.T) {
 	// With k = 1 every scheduler family degenerates to an exact queue and
 	// there must be no extra iterations at all.
-	for _, sk := range Schedulers() {
-		cell, err := RunCell(Config{
-			Algorithm: AlgColoring,
-			Scheduler: sk,
-			Vertices:  300,
-			Edges:     900,
-			K:         1,
-			Trials:    1,
-			Seed:      3,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", sk, err)
-		}
-		if cell.ExtraIterations.Mean != 0 {
-			t.Fatalf("%s: k=1 produced %.1f extra iterations", sk, cell.ExtraIterations.Mean)
+	for _, alg := range algorithms() {
+		for _, sk := range Schedulers() {
+			t.Run(alg+"/"+string(sk), func(t *testing.T) {
+				cell, err := RunCell(Config{
+					Algorithm: alg,
+					Scheduler: sk,
+					Vertices:  300,
+					Edges:     900,
+					K:         1,
+					Trials:    1,
+					Seed:      3,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cell.ExtraIterations.Mean != 0 {
+					t.Fatalf("k=1 produced %.1f extra iterations", cell.ExtraIterations.Mean)
+				}
+			})
 		}
 	}
 }
 
 func TestRunCellRejectsInvalidConfig(t *testing.T) {
-	if _, err := RunCell(Config{Vertices: -1}); err == nil {
+	if _, err := RunCell(Config{Vertices: -1, K: 1, Trials: 1}); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+	if _, err := RunCell(Config{Vertices: 100, Edges: 200}); err == nil {
+		t.Fatal("zero k and trials accepted")
 	}
 }
 
 func TestSweepAndFormatTable(t *testing.T) {
 	sizes := []Size{{Vertices: 200, Edges: 600}, {Vertices: 400, Edges: 600}}
 	ks := []int{2, 8}
-	results, err := Sweep(AlgMIS, SchedMultiQueue, sizes, ks, 1, 99)
+	results, err := Sweep("mis", SchedMultiQueue, sizes, ks, 1, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +182,11 @@ func TestMISOverheadScalesWithKNotN(t *testing.T) {
 	// the input size. Compare two graph sizes at fixed k; the larger graph's
 	// overhead must not be dramatically larger (allow generous slack for
 	// noise since these are single trials).
-	small, err := RunCell(Config{Algorithm: AlgMIS, Vertices: 1000, Edges: 5000, K: 16, Trials: 3, Seed: 5})
+	small, err := RunCell(Config{Algorithm: "mis", Vertices: 1000, Edges: 5000, K: 16, Trials: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := RunCell(Config{Algorithm: AlgMIS, Vertices: 8000, Edges: 40000, K: 16, Trials: 3, Seed: 6})
+	large, err := RunCell(Config{Algorithm: "mis", Vertices: 8000, Edges: 40000, K: 16, Trials: 3, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

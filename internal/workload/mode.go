@@ -1,10 +1,9 @@
 package workload
 
 // This file is the shared CLI plumbing: edge-list loading, flag validation
-// and execution-mode dispatch. cmd/misrun, cmd/kcorerun and cmd/relaxrun
-// used to hand-roll identical copies of this code; they now call LoadGraph,
-// ValidateFlags and Descriptor.RunMode and keep only their flag definitions
-// and output lines.
+// and execution-mode dispatch. cmd/relaxrun calls LoadGraph, ValidateFlags
+// and Descriptor.RunMode and keeps only its flag definitions and output
+// lines; relaxd's job service runs jobs through RunModeContext.
 
 import (
 	"context"

@@ -7,10 +7,11 @@
 // own file of this package. A Descriptor names the workload, states which
 // of the engine's two contracts it implements, describes its input and
 // wasted-work metric, and knows how to bind itself to a graph. Everything
-// downstream — cmd/misrun, cmd/kcorerun, cmd/relaxrun, cmd/relaxbench and
-// internal/bench — dispatches through the registry instead of hand-rolled
-// per-algorithm switches, so adding workload #7 is one new file in this
-// package (see ARCHITECTURE.md for the walkthrough).
+// downstream — cmd/relaxrun, cmd/relaxbench and internal/bench, relaxd's
+// job service, and the static-framework simulations in internal/sim —
+// dispatches through the registry instead of hand-rolled per-algorithm
+// switches, so adding workload #7 is one new file in this package (see
+// ARCHITECTURE.md for the walkthrough).
 //
 // One engine (internal/core), two contracts behind Kind:
 //
