@@ -21,6 +21,7 @@ import (
 	"syscall"
 	"time"
 
+	"relaxsched/internal/api"
 	"relaxsched/internal/service"
 )
 
@@ -42,7 +43,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		workloads = fs.String("workloads", "", "comma-separated job mix (default: all registry workloads)")
 		mode      = fs.String("mode", "concurrent", "execution mode for every job")
 		threads   = fs.Int("threads", 2, "per-job worker count for concurrent/exact modes")
-		model     = fs.String("graph", service.ModelGNP, "graph model: gnp, powerlaw, grid")
+		model     = fs.String("graph", api.ModelGNP, "graph model: gnp, powerlaw, grid")
 		n         = fs.Int("n", 20_000, "graph vertices")
 		edges     = fs.Int64("edges", 80_000, "graph edge target (gnp/powerlaw)")
 		exponent  = fs.Float64("exponent", 0, "power-law exponent (0 = default 2.5)")
@@ -84,7 +85,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Workloads: mix,
 		Mode:      *mode,
 		Threads:   *threads,
-		Graph: service.GraphSpec{
+		Graph: api.GraphSpec{
 			Model:    *model,
 			N:        *n,
 			Edges:    *edges,

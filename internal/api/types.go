@@ -132,11 +132,12 @@ type WorkloadInfo struct {
 	WastedWork string `json:"wasted_work"`
 }
 
-// LatencySummary summarizes a latency distribution in milliseconds. Count,
-// mean and max are exact over the service lifetime; the percentiles are
-// computed over a sliding window of the most recent samples. In a
-// gateway's cluster aggregate the percentiles are count-weighted means of
-// the per-backend percentiles — an approximation, flagged in the docs.
+// LatencySummary summarizes a latency distribution in milliseconds,
+// derived from the matching LatencyHistogram by metricsexport.Summarize.
+// Count, mean and max are exact over the service lifetime; the
+// percentiles are interpolated inside their histogram bucket and clamped
+// to the max. A gateway derives them from the merged cluster histogram,
+// so cluster percentiles are percentiles of every backend's jobs together.
 type LatencySummary struct {
 	Count  int64   `json:"count"`
 	MeanMs float64 `json:"mean_ms"`
@@ -148,9 +149,9 @@ type LatencySummary struct {
 
 // LatencyHistogram is a latency distribution with logarithmic
 // (power-of-two) buckets, the wire form behind the Prometheus histogram
-// exposition. Unlike LatencySummary's ring-windowed percentiles it is
-// exact and unwindowed, so two scrapes subtract into the distribution of
-// any interval, and cluster aggregation is a lossless bucket-wise sum.
+// exposition and the source of every LatencySummary. Its counts are exact
+// and unwindowed, so two scrapes subtract into the distribution of any
+// interval, and cluster aggregation is a lossless bucket-wise sum.
 type LatencyHistogram struct {
 	// BoundsMs are the inclusive upper bucket bounds in milliseconds,
 	// strictly increasing. Every node of one release emits the same
@@ -162,6 +163,9 @@ type LatencyHistogram struct {
 	Counts []int64 `json:"counts"`
 	// SumMs is the sum of all observations in milliseconds.
 	SumMs float64 `json:"sum_ms"`
+	// MaxMs is the largest observation in milliseconds (a cluster merge
+	// keeps the largest of the backends').
+	MaxMs float64 `json:"max_ms"`
 }
 
 // TraceSpan is one phase of a job's recorded lifecycle. Offsets are
@@ -331,14 +335,15 @@ type Metrics struct {
 	// anywhere in the cluster, measured at the coordination layer.
 	RankError RankErrorStats `json:"rank_error"`
 	// QueueLatency measures submit→dispatch; ExecLatency measures the
-	// execution itself (excluding queueing and graph build).
+	// execution itself (excluding queueing and graph build). Both are
+	// summaries of the histograms below over the service lifetime (cluster:
+	// of the merged histograms).
 	QueueLatency LatencySummary `json:"queue_latency"`
 	ExecLatency  LatencySummary `json:"exec_latency"`
 	// QueueLatencyHist and ExecLatencyHist are the same two distributions
 	// as unwindowed log-bucketed histograms — exact counts over the service
-	// lifetime, from which a percentile is derivable at any scrape window
-	// (unlike the ring-windowed percentiles above). Present since the
-	// observability release; older nodes omit them.
+	// lifetime, from which a percentile is derivable at any scrape window.
+	// Present since the observability release; older nodes omit them.
 	QueueLatencyHist *LatencyHistogram `json:"queue_latency_hist,omitempty"`
 	ExecLatencyHist  *LatencyHistogram `json:"exec_latency_hist,omitempty"`
 	// Controller is the adaptive relaxation controller's state, present

@@ -24,10 +24,10 @@
 //
 // The controller is deliberately pure: Step consumes a Sample the caller
 // assembled from its own sensors (internal/ranktrack for rank error, the
-// service's latency rings for p99) and returns the new targets. It reads no
-// clocks and no global state, so scripted load traces drive it
-// deterministically in tests — see the package example and the trajectory
-// tests.
+// change in the service's queue-latency histogram since the previous
+// window for p99) and returns the new targets. It reads no clocks and no
+// global state, so scripted load traces drive it deterministically in
+// tests — see the package example and the trajectory tests.
 package control
 
 import "fmt"
@@ -143,8 +143,8 @@ type Sample struct {
 	// Negative means the window saw no dispatches — no quality signal, so
 	// the rank check is skipped rather than misread as "perfect".
 	RankErr float64
-	// P99Ms is the observed p99 queue latency in milliseconds (over the
-	// caller's sliding sample window; zero when it holds no samples).
+	// P99Ms is the p99 queue latency in milliseconds of the jobs
+	// dispatched in this window; zero when the window has no samples.
 	P99Ms float64
 }
 

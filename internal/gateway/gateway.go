@@ -40,11 +40,6 @@ const (
 
 	defaultReplicas       = 128
 	defaultHealthInterval = 2 * time.Second
-
-	// hopCapacity bounds the ring of recorded submit hops (the gateway's
-	// own span on each routed job's trace); oldest first, like the
-	// backends' trace rings.
-	hopCapacity = 4096
 )
 
 // Options configures a Gateway.
@@ -74,14 +69,6 @@ type backend struct {
 	draining atomic.Bool
 }
 
-// hopRecord is the gateway's own span on one routed job: when the submit
-// hop started, how long the backend round trip took, and where it landed.
-type hopRecord struct {
-	start    time.Time
-	durNanos int64
-	backend  string
-}
-
 // Gateway fronts a fleet of relaxd backends behind the single-node wire
 // API. It implements api.Dispatcher; serve it with Handler.
 type Gateway struct {
@@ -89,6 +76,9 @@ type Gateway struct {
 	ring     *ring
 	start    time.Time
 	logger   *slog.Logger
+	// hops holds the gateway's own "gateway.submit" span for each routed
+	// job, keyed by global id, in a bounded ring like the backends' traces.
+	hops *trace.Recorder
 
 	stopHealth chan struct{}
 	healthDone chan struct{}
@@ -99,8 +89,6 @@ type Gateway struct {
 	tracker  ranktrack.Tracker
 	rank     ranktrack.Stats
 	draining bool
-	hops     map[int64]hopRecord // global job id -> gateway submit hop
-	hopOrder []int64             // FIFO eviction order for hops
 }
 
 var _ api.Dispatcher = (*Gateway)(nil)
@@ -136,10 +124,10 @@ func New(opts Options) (*Gateway, error) {
 		backends:   make([]*backend, len(opts.Backends)),
 		start:      time.Now(),
 		logger:     logger,
+		hops:       trace.NewRecorder(0),
 		stopHealth: make(chan struct{}),
 		healthDone: make(chan struct{}),
 		pending:    make(map[int64]sched.Item),
-		hops:       make(map[int64]hopRecord),
 	}
 	for i, raw := range opts.Backends {
 		u := strings.TrimRight(strings.TrimSpace(raw), "/")
@@ -251,10 +239,15 @@ func (g *Gateway) Submit(ctx context.Context, spec api.JobSpec) (api.JobStatus, 
 			continue
 		}
 		st.ID = g.admit(st.ID, idx, spec.Priority)
-		g.recordHop(st.ID, hopRecord{
-			start:    hopStart,
-			durNanos: time.Since(hopStart).Nanoseconds(),
-			backend:  b.url,
+		g.hops.Put(trace.Timeline{
+			TraceID: trace.IDFromContext(ctx),
+			JobID:   st.ID,
+			Start:   hopStart,
+			Spans: []trace.Span{{
+				Name:     "gateway.submit",
+				EndNanos: time.Since(hopStart).Nanoseconds(),
+				Detail:   "backend=" + b.url,
+			}},
 		})
 		g.logger.Debug("job routed",
 			"job_id", st.ID,
@@ -264,24 +257,6 @@ func (g *Gateway) Submit(ctx context.Context, spec api.JobSpec) (api.JobStatus, 
 		return st, nil
 	}
 	return api.JobStatus{}, &api.Error{Code: api.CodeBackendDown, Message: "gateway: no healthy backend"}
-}
-
-// recordHop remembers the gateway's submit hop for a routed job so a
-// later trace poll can prepend it to the backend's span timeline. The
-// ring is bounded at hopCapacity; oldest hops are evicted first, after
-// which the job's trace simply lacks the gateway span.
-func (g *Gateway) recordHop(globalID int64, h hopRecord) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, exists := g.hops[globalID]; !exists {
-		if len(g.hopOrder) >= hopCapacity {
-			oldest := g.hopOrder[0]
-			g.hopOrder = g.hopOrder[1:]
-			delete(g.hops, oldest)
-		}
-		g.hopOrder = append(g.hopOrder, globalID)
-	}
-	g.hops[globalID] = h
 }
 
 // admit records a successfully placed job in the cluster-wide rank
@@ -340,12 +315,13 @@ func (g *Gateway) Status(ctx context.Context, id int64) (api.JobStatus, error) {
 }
 
 // JobTrace polls the owning backend for the job's span timeline and
-// prepends the gateway's own submit hop as a "gateway.submit" span. Hop
-// offsets are rebased against the backend's timeline origin, so the
-// gateway span usually starts at a negative offset — the hop began
-// before the backend accepted the job. Like Status, the owner is always
-// tried even when marked unhealthy, so traces stay fetchable during a
-// drain.
+// prepends the gateway's own recorded spans (the "gateway.submit" hop).
+// Their offsets are rebased against the backend's timeline origin, so the
+// gateway span usually starts at a negative offset — the hop began before
+// the backend accepted the job. Once the bounded hop ring has evicted the
+// job, the trace simply lacks the gateway span. Like Status, the owner is
+// always tried even when marked unhealthy, so traces stay fetchable
+// during a drain.
 func (g *Gateway) JobTrace(ctx context.Context, id int64) (api.JobTrace, error) {
 	if id < 0 || int(id%idStride) >= len(g.backends) {
 		return api.JobTrace{}, &api.Error{Code: api.CodeUnknownJob, Message: fmt.Sprintf("unknown job %d", id)}
@@ -361,18 +337,13 @@ func (g *Gateway) JobTrace(ctx context.Context, id int64) (api.JobTrace, error) 
 		return api.JobTrace{}, &api.Error{Code: api.CodeBackendDown, Message: fmt.Sprintf("gateway: backend %s unreachable: %v", b.url, err)}
 	}
 	tr.ID = id
-	g.mu.Lock()
-	hop, ok := g.hops[id]
-	g.mu.Unlock()
-	if ok {
-		off := hop.start.Sub(tr.StartedAt).Nanoseconds()
-		span := api.TraceSpan{
-			Name:       "gateway.submit",
-			StartNanos: off,
-			EndNanos:   off + hop.durNanos,
-			Detail:     "backend=" + hop.backend,
+	if hop, ok := g.hops.Get(id); ok {
+		off := hop.Start.Sub(tr.StartedAt).Nanoseconds()
+		spans := make([]api.TraceSpan, 0, len(hop.Spans)+len(tr.Spans))
+		for _, s := range hop.Spans {
+			spans = append(spans, api.TraceSpan{Name: s.Name, StartNanos: off + s.StartNanos, EndNanos: off + s.EndNanos, Detail: s.Detail})
 		}
-		tr.Spans = append([]api.TraceSpan{span}, tr.Spans...)
+		tr.Spans = append(spans, tr.Spans...)
 	}
 	return tr, nil
 }
@@ -404,8 +375,8 @@ func (g *Gateway) Metrics(ctx context.Context) (api.Metrics, error) {
 
 // ClusterMetrics snapshots every backend concurrently and aggregates:
 // capacities and counters sum, the scheduler label collapses to "mixed"
-// when backends disagree, latency percentiles merge count-weighted (an
-// approximation — exact merging would need the raw samples), and
+// when backends disagree, latency histograms merge bucket-wise and the
+// latency summaries are derived from the merged histograms, and
 // RankError is the gateway's own global measurement. Fetch success and
 // failure double as health observations.
 func (g *Gateway) ClusterMetrics(ctx context.Context) api.ClusterMetrics {
@@ -466,8 +437,6 @@ func (g *Gateway) ClusterMetrics(ctx context.Context) api.ClusterMetrics {
 		cm.Cost.Steals += m.Cost.Steals
 		cm.Cost.GlobalFallbacks += m.Cost.GlobalFallbacks
 		cm.Cost.EmptyPolls += m.Cost.EmptyPolls
-		mergeLatency(&cm.QueueLatency, m.QueueLatency)
-		mergeLatency(&cm.ExecLatency, m.ExecLatency)
 		cm.QueueLatencyHist = metricsexport.MergeHistograms(cm.QueueLatencyHist, m.QueueLatencyHist)
 		cm.ExecLatencyHist = metricsexport.MergeHistograms(cm.ExecLatencyHist, m.ExecLatencyHist)
 		if m.Controller != nil {
@@ -476,8 +445,8 @@ func (g *Gateway) ClusterMetrics(ctx context.Context) api.ClusterMetrics {
 		}
 		mergeWAL(&cm.WAL, m.WAL)
 	}
-	finishLatency(&cm.QueueLatency)
-	finishLatency(&cm.ExecLatency)
+	cm.QueueLatency = metricsexport.Summarize(cm.QueueLatencyHist)
+	cm.ExecLatency = metricsexport.Summarize(cm.ExecLatencyHist)
 	finishController(cm.Controller, controllers)
 	return cm
 }
@@ -564,31 +533,6 @@ func mergeWAL(dst **api.WALStats, src *api.WALStats) {
 	d.Compacted += src.Compacted
 	d.Bytes += src.Bytes
 	d.TornTail = d.TornTail || src.TornTail
-}
-
-// mergeLatency accumulates count-weighted sums into dst; finishLatency
-// divides them back into means once every backend is folded in.
-func mergeLatency(dst *api.LatencySummary, src api.LatencySummary) {
-	w := float64(src.Count)
-	dst.Count += src.Count
-	dst.MeanMs += w * src.MeanMs
-	dst.P50Ms += w * src.P50Ms
-	dst.P95Ms += w * src.P95Ms
-	dst.P99Ms += w * src.P99Ms
-	if src.MaxMs > dst.MaxMs {
-		dst.MaxMs = src.MaxMs
-	}
-}
-
-func finishLatency(l *api.LatencySummary) {
-	if l.Count == 0 {
-		return
-	}
-	w := float64(l.Count)
-	l.MeanMs /= w
-	l.P50Ms /= w
-	l.P95Ms /= w
-	l.P99Ms /= w
 }
 
 // Drain stops gateway admission and fans the drain out to every backend.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -374,6 +375,39 @@ func TestGatewayControllerAggregation(t *testing.T) {
 	g3 := newTestGateway(t, cannedMetricsBackend(t, static))
 	if cm3 := g3.ClusterMetrics(context.Background()); cm3.Controller != nil {
 		t.Fatalf("static fleet grew a controller section: %+v", cm3.Controller)
+	}
+}
+
+// TestGatewayClusterLatencyPercentiles: the cluster queue-latency summary
+// is a summary of every backend's jobs together, not a count-weighted mean
+// of per-backend percentiles. Backend A ran 1000 jobs at 1 ms and B 20 at
+// 1000 ms: B's jobs are 2 % of the fleet, so the cluster p99 is one of
+// them — in B's (512, 1024] ms bucket — while averaging the two p99s
+// would report about 20 ms. Count, mean and max stay exact.
+func TestGatewayClusterLatencyPercentiles(t *testing.T) {
+	backend := func(jobs int, seconds float64) api.Metrics {
+		h := metricsexport.NewHistogram()
+		for i := 0; i < jobs; i++ {
+			h.Observe(seconds)
+		}
+		ms := seconds * 1000
+		return api.Metrics{
+			JobSched: service.JobSchedExact,
+			QueueLatency: api.LatencySummary{
+				Count: int64(jobs), MeanMs: ms, P50Ms: ms, P95Ms: ms, P99Ms: ms, MaxMs: ms,
+			},
+			QueueLatencyHist: h.Snapshot(),
+		}
+	}
+	g := newTestGateway(t,
+		cannedMetricsBackend(t, backend(1000, 0.001)),
+		cannedMetricsBackend(t, backend(20, 1)))
+	q := g.ClusterMetrics(context.Background()).QueueLatency
+	if q.P99Ms <= 512 || q.P99Ms > 1024 {
+		t.Fatalf("cluster p99 = %.1f ms, want it in backend B's (512, 1024] ms bucket", q.P99Ms)
+	}
+	if wantMean := (1000*1.0 + 20*1000.0) / 1020; q.Count != 1020 || math.Abs(q.MeanMs-wantMean) > 1e-6 || q.MaxMs != 1000 {
+		t.Fatalf("cluster count/mean/max = %d/%.3f/%.1f, want 1020/%.3f/1000", q.Count, q.MeanMs, q.MaxMs, wantMean)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"relaxsched/internal/api"
 	"relaxsched/internal/service"
 )
 
@@ -22,7 +23,7 @@ func burstyLoad(baseURL string) service.LoadConfig {
 		Workloads:      []string{"mis"},
 		Mode:           "concurrent",
 		Threads:        1,
-		Graph:          service.GraphSpec{Model: service.ModelGNP, N: 20000, Edges: 80000, Seed: 7},
+		Graph:          api.GraphSpec{Model: api.ModelGNP, N: 20000, Edges: 80000, Seed: 7},
 		PrioritySpread: 1000,
 		PollInterval:   time.Millisecond,
 	}
@@ -107,7 +108,9 @@ func TestAdaptiveControllerBurstyLoadE2E(t *testing.T) {
 	// And the payoff for relaxing: the starvation tail the exact heap builds
 	// under this load must shrink. Exact's p99 is many service times (the
 	// unluckiest job keeps losing to fresh higher-priority arrivals); the
-	// widened queue dispatches near-FIFO, bounding every job's wait.
+	// widened queue dispatches near-FIFO, bounding every job's wait. Both
+	// p99s are metricsexport.Summarize over each node's lifetime queue
+	// histogram, interpolated inside the bucket.
 	if auto.Metrics.QueueLatency.P99Ms >= exact.Metrics.QueueLatency.P99Ms {
 		t.Fatalf("auto p99 %.1fms did not beat exact p99 %.1fms",
 			auto.Metrics.QueueLatency.P99Ms, exact.Metrics.QueueLatency.P99Ms)

@@ -31,12 +31,14 @@ var bucketBoundsMs = func() []float64 {
 }()
 
 // Histogram is a concurrency-safe log-bucketed latency histogram, the
-// live accumulator behind the api.LatencyHistogram wire type. The zero
-// value is not usable; construct with NewHistogram.
+// live accumulator behind the api.LatencyHistogram wire type and, through
+// Summarize, behind every api.LatencySummary. The zero value is not
+// usable; construct with NewHistogram.
 type Histogram struct {
 	mu     sync.Mutex
 	counts [numBounds + 1]int64
 	sumSec float64
+	maxSec float64
 }
 
 // NewHistogram returns an empty histogram on the package's shared
@@ -58,6 +60,7 @@ func (h *Histogram) Observe(seconds float64) {
 	h.mu.Lock()
 	h.counts[idx]++
 	h.sumSec += seconds
+	h.maxSec = max(h.maxSec, seconds)
 	h.mu.Unlock()
 }
 
@@ -69,53 +72,62 @@ func (h *Histogram) Snapshot() *api.LatencyHistogram {
 		BoundsMs: bucketBoundsMs,
 		Counts:   append([]int64(nil), h.counts[:]...),
 		SumMs:    h.sumSec * 1000,
+		MaxMs:    h.maxSec * 1000,
 	}
 }
 
-// HistogramCount returns the total number of observations in a wire
-// histogram (nil counts as empty).
-func HistogramCount(h *api.LatencyHistogram) int64 {
+// Summarize derives a wire summary from a histogram: count, mean and max
+// exactly, and p50/p95/p99 the way Prometheus' histogram_quantile does —
+// find the bucket holding rank q·count and interpolate linearly inside
+// it — clamped to the max. The first bucket interpolates up from zero and
+// the +Inf overflow bucket up to the max. A nil or empty histogram
+// summarizes to zeros.
+func Summarize(h *api.LatencyHistogram) api.LatencySummary {
 	if h == nil {
-		return 0
+		return api.LatencySummary{}
 	}
 	var n int64
 	for _, c := range h.Counts {
 		n += c
 	}
-	return n
+	if n == 0 {
+		return api.LatencySummary{}
+	}
+	return api.LatencySummary{
+		Count:  n,
+		MeanMs: h.SumMs / float64(n),
+		P50Ms:  quantile(h, n, 0.50),
+		P95Ms:  quantile(h, n, 0.95),
+		P99Ms:  quantile(h, n, 0.99),
+		MaxMs:  h.MaxMs,
+	}
 }
 
-// HistogramQuantile returns the q-quantile (0 < q ≤ 1) of a wire
-// histogram in milliseconds, resolved to the upper bound of the bucket
-// the quantile falls in — the same "within one bucket" resolution the
-// exposition gives any Prometheus consumer. An empty or nil histogram
-// returns 0; a quantile landing in the +Inf overflow bucket returns +Inf.
-func HistogramQuantile(h *api.LatencyHistogram, q float64) float64 {
-	total := HistogramCount(h)
-	if total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
+// quantile interpolates the q-quantile of a histogram holding n > 0
+// observations; see Summarize.
+func quantile(h *api.LatencyHistogram, n int64, q float64) float64 {
+	rank := q * float64(n)
 	var cum int64
+	lower := 0.0
 	for i, c := range h.Counts {
-		cum += c
-		if cum >= target {
-			if i < len(h.BoundsMs) {
-				return h.BoundsMs[i]
-			}
-			return math.Inf(1)
+		upper := h.MaxMs
+		if i < len(h.BoundsMs) {
+			upper = h.BoundsMs[i]
 		}
+		if c > 0 && float64(cum+c) >= rank {
+			return min(lower+(upper-lower)*(rank-float64(cum))/float64(c), h.MaxMs)
+		}
+		cum += c
+		lower = upper
 	}
-	return math.Inf(1)
+	return h.MaxMs
 }
 
-// MergeHistograms adds src into dst bucket-wise and returns dst. A nil
-// dst starts from a copy of src; a nil src is a no-op. Histograms with
-// different bounds (a version-skewed backend) cannot be merged — src is
-// dropped rather than summed into the wrong buckets.
+// MergeHistograms adds src into dst bucket-wise, keeps the larger max,
+// and returns dst. A nil dst starts from a copy of src; a nil src is a
+// no-op. Histograms with different bounds (a version-skewed backend)
+// cannot be merged — src is dropped rather than summed into the wrong
+// buckets.
 func MergeHistograms(dst, src *api.LatencyHistogram) *api.LatencyHistogram {
 	if src == nil {
 		return dst
@@ -125,6 +137,7 @@ func MergeHistograms(dst, src *api.LatencyHistogram) *api.LatencyHistogram {
 			BoundsMs: append([]float64(nil), src.BoundsMs...),
 			Counts:   append([]int64(nil), src.Counts...),
 			SumMs:    src.SumMs,
+			MaxMs:    src.MaxMs,
 		}
 	}
 	if len(dst.BoundsMs) != len(src.BoundsMs) || len(dst.Counts) != len(src.Counts) {
@@ -139,5 +152,6 @@ func MergeHistograms(dst, src *api.LatencyHistogram) *api.LatencyHistogram {
 		dst.Counts[i] += c
 	}
 	dst.SumMs += src.SumMs
+	dst.MaxMs = max(dst.MaxMs, src.MaxMs)
 	return dst
 }

@@ -63,7 +63,6 @@ func TestRenderNodeExposition(t *testing.T) {
 		"relax_sched_steals_total",
 		"relax_sched_global_fallbacks_total",
 		"relax_rank_error_mean",
-		"relax_queue_latency_ring_p99_seconds",
 		"relax_controller_k",
 		"relax_controller_rank_violations_total",
 		"relax_wal_fsyncs_total",
@@ -191,7 +190,7 @@ func TestHistogramSnapshotAndMerge(t *testing.T) {
 	h.Observe(1000)   // overflow
 	h.Observe(-1)     // clamps to first bucket
 	snap := h.Snapshot()
-	if got := HistogramCount(snap); got != 4 {
+	if got := Summarize(snap).Count; got != 4 {
 		t.Fatalf("count = %d, want 4", got)
 	}
 	if snap.Counts[0] != 2 || snap.Counts[1] != 1 || snap.Counts[len(snap.Counts)-1] != 1 {
@@ -200,39 +199,49 @@ func TestHistogramSnapshotAndMerge(t *testing.T) {
 	if want := (0.0001 + 0.0003 + 1000) * 1000; math.Abs(snap.SumMs-want) > 1e-6 {
 		t.Fatalf("SumMs = %v, want %v", snap.SumMs, want)
 	}
+	if snap.MaxMs != 1000*1000 {
+		t.Fatalf("MaxMs = %v, want 1e6", snap.MaxMs)
+	}
 
 	merged := MergeHistograms(nil, snap)
 	merged = MergeHistograms(merged, snap)
-	if got := HistogramCount(merged); got != 8 {
+	if got := Summarize(merged).Count; got != 8 {
 		t.Fatalf("merged count = %d, want 8", got)
 	}
 	// Merging must not have aliased or mutated the source.
-	if got := HistogramCount(snap); got != 4 {
+	if got := Summarize(snap).Count; got != 4 {
 		t.Fatalf("source histogram mutated by merge: count = %d", got)
 	}
 	// Bounds mismatch: src dropped, dst unchanged.
+	small := NewHistogram()
+	small.Observe(0.002)
+	if got := MergeHistograms(MergeHistograms(nil, small.Snapshot()), snap).MaxMs; got != snap.MaxMs {
+		t.Fatalf("merged max = %v, want the larger %v", got, snap.MaxMs)
+	}
 	skewed := &api.LatencyHistogram{BoundsMs: []float64{1}, Counts: []int64{1, 1}, SumMs: 2}
-	if got := HistogramCount(MergeHistograms(merged, skewed)); got != 8 {
+	if got := Summarize(MergeHistograms(merged, skewed)).Count; got != 8 {
 		t.Fatalf("version-skewed merge changed dst: count = %d", got)
 	}
 }
 
-// TestHistogramQuantileWithinOneBucket is the acceptance bound: against
-// an exact percentile over the raw samples, the histogram-derived p99
-// must land in the same or an adjacent bucket.
-func TestHistogramQuantileWithinOneBucket(t *testing.T) {
+// TestSummarizeWithinOneBucket is the acceptance bound: against an exact
+// percentile over the raw samples, the histogram-derived p99 must land in
+// the same or an adjacent bucket, while count, mean and max stay exact.
+func TestSummarizeWithinOneBucket(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := NewHistogram()
 	var samples []float64
+	sum := 0.0
 	for i := 0; i < 5000; i++ {
 		// Log-uniform over ~0.3 ms .. 5 s, the service's realistic span.
 		v := math.Exp(rng.Float64()*math.Log(16000)) * 0.0003
 		samples = append(samples, v)
+		sum += v
 		h.Observe(v)
 	}
 	sort.Float64s(samples)
 	exactP99 := samples[int(math.Ceil(0.99*float64(len(samples))))-1] * 1000 // ms
-	got := HistogramQuantile(h.Snapshot(), 0.99)
+	s := Summarize(h.Snapshot())
 	bucketOf := func(ms float64) int {
 		for i, b := range bucketBoundsMs {
 			if ms <= b {
@@ -241,12 +250,40 @@ func TestHistogramQuantileWithinOneBucket(t *testing.T) {
 		}
 		return len(bucketBoundsMs)
 	}
-	if d := bucketOf(got) - bucketOf(exactP99); d < -1 || d > 1 {
+	if d := bucketOf(s.P99Ms) - bucketOf(exactP99); d < -1 || d > 1 {
 		t.Fatalf("histogram p99 %v ms in bucket %d, exact p99 %v ms in bucket %d — more than one bucket apart",
-			got, bucketOf(got), exactP99, bucketOf(exactP99))
+			s.P99Ms, bucketOf(s.P99Ms), exactP99, bucketOf(exactP99))
 	}
-	if HistogramQuantile(nil, 0.99) != 0 {
-		t.Fatal("nil histogram quantile != 0")
+	if s.Count != 5000 || math.Abs(s.MeanMs-sum/5000*1000) > 1e-9 || s.MaxMs != samples[len(samples)-1]*1000 {
+		t.Fatalf("count/mean/max = %d/%v/%v, want 5000/%v/%v", s.Count, s.MeanMs, s.MaxMs, sum/5000*1000, samples[len(samples)-1]*1000)
+	}
+	if !(s.P50Ms <= s.P95Ms && s.P95Ms <= s.P99Ms && s.P99Ms <= s.MaxMs) {
+		t.Fatalf("percentiles out of order: %+v", s)
+	}
+	if Summarize(nil) != (api.LatencySummary{}) || Summarize(NewHistogram().Snapshot()) != (api.LatencySummary{}) {
+		t.Fatal("nil or empty histogram does not summarize to zeros")
+	}
+}
+
+// TestSummarizeInterpolates pins the histogram_quantile rule on hand-built
+// buckets: linear inside the bucket holding the rank, up from zero in the
+// first bucket, up to the max in the overflow bucket, clamped to the max.
+func TestSummarizeInterpolates(t *testing.T) {
+	h := &api.LatencyHistogram{BoundsMs: []float64{1, 2, 4}, Counts: []int64{50, 0, 50, 0}, SumMs: 150, MaxMs: 3.5}
+	s := Summarize(h)
+	// p50: rank 50 is the top of the first bucket (0, 1].
+	// p95: rank 95 is 45/50 of the way through (2, 4] → 3.8, clamped to 3.5.
+	if s.P50Ms != 1 || s.P95Ms != 3.5 || s.P99Ms != 3.5 || s.MeanMs != 1.5 || s.Count != 100 {
+		t.Fatalf("summary = %+v", s)
+	}
+	h = &api.LatencyHistogram{BoundsMs: []float64{1, 2, 4}, Counts: []int64{0, 100, 0, 0}, MaxMs: 2}
+	if got := Summarize(h).P50Ms; got != 1.5 {
+		t.Fatalf("p50 inside (1, 2] = %v, want 1.5", got)
+	}
+	// Overflow bucket (4, max=12]: rank 99 is the 98th of its 99 entries.
+	h = &api.LatencyHistogram{BoundsMs: []float64{1, 2, 4}, Counts: []int64{1, 0, 0, 99}, MaxMs: 12}
+	if got, want := Summarize(h).P99Ms, 4+8*98.0/99; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("overflow p99 = %v, want %v", got, want)
 	}
 }
 

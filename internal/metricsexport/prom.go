@@ -70,128 +70,96 @@ func always(f func(m *api.Metrics) float64) func(*api.Metrics) (float64, bool) {
 	return func(m *api.Metrics) (float64, bool) { return f(m), true }
 }
 
-// ring declares the six exposition families of one ring-windowed
-// LatencySummary (count/mean/max exact over the lifetime, percentiles
-// over the ring window — see api.LatencySummary).
-func ring(prefix, what string, get func(m *api.Metrics) api.LatencySummary) []numFamily {
-	g := func(f func(s api.LatencySummary) float64) func(*api.Metrics) (float64, bool) {
-		return always(func(m *api.Metrics) float64 { return f(get(m)) })
-	}
-	return []numFamily{
-		{prefix + "_ring_count_total", "counter", "Samples of " + what + " observed over the service lifetime.",
-			g(func(s api.LatencySummary) float64 { return float64(s.Count) })},
-		{prefix + "_ring_mean_seconds", "gauge", "Lifetime mean " + what + ".",
-			g(func(s api.LatencySummary) float64 { return s.MeanMs / 1000 })},
-		{prefix + "_ring_p50_seconds", "gauge", "p50 " + what + " over the recent-sample ring window.",
-			g(func(s api.LatencySummary) float64 { return s.P50Ms / 1000 })},
-		{prefix + "_ring_p95_seconds", "gauge", "p95 " + what + " over the recent-sample ring window.",
-			g(func(s api.LatencySummary) float64 { return s.P95Ms / 1000 })},
-		{prefix + "_ring_p99_seconds", "gauge", "p99 " + what + " over the recent-sample ring window.",
-			g(func(s api.LatencySummary) float64 { return s.P99Ms / 1000 })},
-		{prefix + "_ring_max_seconds", "gauge", "Lifetime maximum " + what + ".",
-			g(func(s api.LatencySummary) float64 { return s.MaxMs / 1000 })},
-	}
-}
-
 // nodeFamilies is every numeric family a node snapshot exposes, in
 // exposition order.
-var nodeFamilies = func() []numFamily {
-	fams := []numFamily{
-		{"relax_uptime_seconds", "gauge", "Time since the service started.",
-			always(func(m *api.Metrics) float64 { return m.UptimeSeconds })},
-		{"relax_workers", "gauge", "Size of the job worker pool.",
-			always(func(m *api.Metrics) float64 { return float64(m.Workers) })},
-		{"relax_queue_capacity", "gauge", "Admission bound of the pending-job queue.",
-			always(func(m *api.Metrics) float64 { return float64(m.QueueCapacity) })},
-		{"relax_job_sched_k", "gauge", "Relaxation factor of the pending-job scheduler (0 when not k-bounded).",
-			always(func(m *api.Metrics) float64 { return float64(m.JobSchedK) })},
-		{"relax_draining", "gauge", "1 when the service has stopped admitting jobs.",
-			always(func(m *api.Metrics) float64 { return b2f(m.Draining) })},
-		{"relax_jobs_queued", "gauge", "Jobs currently pending dispatch.",
-			always(func(m *api.Metrics) float64 { return float64(m.Jobs.Queued) })},
-		{"relax_jobs_running", "gauge", "Jobs currently executing.",
-			always(func(m *api.Metrics) float64 { return float64(m.Jobs.Running) })},
-		{"relax_jobs_submitted_total", "counter", "Jobs accepted by admission control.",
-			always(func(m *api.Metrics) float64 { return float64(m.Jobs.Submitted) })},
-		{"relax_jobs_done_total", "counter", "Jobs finished successfully.",
-			always(func(m *api.Metrics) float64 { return float64(m.Jobs.Done) })},
-		{"relax_jobs_failed_total", "counter", "Jobs whose execution or verification failed.",
-			always(func(m *api.Metrics) float64 { return float64(m.Jobs.Failed) })},
-		{"relax_jobs_canceled_total", "counter", "Jobs aborted by a forced shutdown.",
-			always(func(m *api.Metrics) float64 { return float64(m.Jobs.Canceled) })},
-		{"relax_jobs_rejected_total", "counter", "Submissions refused by admission control (queue full or draining).",
-			always(func(m *api.Metrics) float64 { return float64(m.Jobs.Rejected) })},
-		{"relax_cache_entries", "gauge", "Graphs currently resident in the graph cache.",
-			always(func(m *api.Metrics) float64 { return float64(m.Cache.Entries) })},
-		{"relax_cache_capacity", "gauge", "Entry bound of the graph cache.",
-			always(func(m *api.Metrics) float64 { return float64(m.Cache.Capacity) })},
-		{"relax_cache_hits_total", "counter", "Graph-cache lookups served by an existing or in-flight entry.",
-			always(func(m *api.Metrics) float64 { return float64(m.Cache.Hits) })},
-		{"relax_cache_misses_total", "counter", "Graph-cache lookups that initiated a CSR build.",
-			always(func(m *api.Metrics) float64 { return float64(m.Cache.Misses) })},
-		{"relax_cache_evictions_total", "counter", "Graph-cache entries displaced by the LRU bound.",
-			always(func(m *api.Metrics) float64 { return float64(m.Cache.Evictions) })},
-		{"relax_sched_pops_total", "counter", "Scheduler pops across all finished jobs (workload work accounting).",
-			always(func(m *api.Metrics) float64 { return float64(m.Cost.Pops) })},
-		{"relax_sched_stale_pops_total", "counter", "Stale scheduler pops across all finished jobs.",
-			always(func(m *api.Metrics) float64 { return float64(m.Cost.StalePops) })},
-		{"relax_sched_wasted_total", "counter", "Wasted work units across all finished jobs (per-workload metric, see /v1/workloads).",
-			always(func(m *api.Metrics) float64 { return float64(m.Cost.Wasted) })},
-		{"relax_sched_steals_total", "counter", "Concurrent-scheduler pops served from another worker's lane.",
-			always(func(m *api.Metrics) float64 { return float64(m.Cost.Steals) })},
-		{"relax_sched_global_fallbacks_total", "counter", "Concurrent-scheduler pops that fell through to a global scan.",
-			always(func(m *api.Metrics) float64 { return float64(m.Cost.GlobalFallbacks) })},
-		{"relax_sched_empty_polls_total", "counter", "Concurrent-scheduler polls that found every probed lane empty.",
-			always(func(m *api.Metrics) float64 { return float64(m.Cost.EmptyPolls) })},
-		{"relax_rank_error_jobs_total", "counter", "Jobs whose dispatch rank error was measured.",
-			always(func(m *api.Metrics) float64 { return float64(m.RankError.Count) })},
-		{"relax_rank_error_mean", "gauge", "Mean per-dispatch scheduling rank error (0 = exact priority order).",
-			always(func(m *api.Metrics) float64 { return m.RankError.Mean })},
-		{"relax_rank_error_max", "gauge", "Maximum observed per-dispatch scheduling rank error.",
-			always(func(m *api.Metrics) float64 { return float64(m.RankError.Max) })},
-	}
-	fams = append(fams, ring("relax_queue_latency", "submit-to-dispatch latency",
-		func(m *api.Metrics) api.LatencySummary { return m.QueueLatency })...)
-	fams = append(fams, ring("relax_exec_latency", "job execution latency",
-		func(m *api.Metrics) api.LatencySummary { return m.ExecLatency })...)
-	fams = append(fams, []numFamily{
-		{"relax_controller_enabled", "gauge", "1 when the adaptive relaxation controller (-jobsched auto) is active.",
-			ctrl(func(c *api.ControllerStats) float64 { return b2f(c.Enabled) })},
-		{"relax_controller_k", "gauge", "Job-queue relaxation currently in force by the controller.",
-			ctrl(func(c *api.ControllerStats) float64 { return float64(c.K) })},
-		{"relax_controller_batch", "gauge", "Executor batch-size target currently in force by the controller.",
-			ctrl(func(c *api.ControllerStats) float64 { return float64(c.Batch) })},
-		{"relax_controller_rank_slo", "gauge", "Operator mean-rank-error SLO target.",
-			ctrl(func(c *api.ControllerStats) float64 { return c.RankSLO })},
-		{"relax_controller_p99_slo_seconds", "gauge", "Operator queue-latency p99 SLO target.",
-			ctrl(func(c *api.ControllerStats) float64 { return c.P99SLOMs / 1000 })},
-		{"relax_controller_steps_total", "counter", "Control windows evaluated.",
-			ctrl(func(c *api.ControllerStats) float64 { return float64(c.Steps) })},
-		{"relax_controller_widened_total", "counter", "Control windows that widened a knob.",
-			ctrl(func(c *api.ControllerStats) float64 { return float64(c.Widened) })},
-		{"relax_controller_tightened_total", "counter", "Control windows that tightened a knob.",
-			ctrl(func(c *api.ControllerStats) float64 { return float64(c.Tightened) })},
-		{"relax_controller_rank_violations_total", "counter", "Control windows whose sample breached the rank SLO.",
-			ctrl(func(c *api.ControllerStats) float64 { return float64(c.RankViolations) })},
-		{"relax_controller_p99_violations_total", "counter", "Control windows whose sample breached the p99 SLO.",
-			ctrl(func(c *api.ControllerStats) float64 { return float64(c.P99Violations) })},
-		{"relax_wal_appends_total", "counter", "Write-ahead log records appended (acceptances plus terminal marks).",
-			wal(func(w *api.WALStats) float64 { return float64(w.Appends) })},
-		{"relax_wal_fsyncs_total", "counter", "Write-ahead log fsyncs issued (group commit keeps this under appends).",
-			wal(func(w *api.WALStats) float64 { return float64(w.Fsyncs) })},
-		{"relax_wal_replayed_jobs", "gauge", "Accepted-but-unfinished jobs re-enqueued from the log at the last boot.",
-			wal(func(w *api.WALStats) float64 { return float64(w.ReplayedJobs) })},
-		{"relax_wal_segments", "gauge", "Live write-ahead log segments.",
-			wal(func(w *api.WALStats) float64 { return float64(w.Segments) })},
-		{"relax_wal_compacted_total", "counter", "Write-ahead log segments deleted by compaction since boot.",
-			wal(func(w *api.WALStats) float64 { return float64(w.Compacted) })},
-		{"relax_wal_bytes_total", "counter", "Bytes appended to the write-ahead log since boot.",
-			wal(func(w *api.WALStats) float64 { return float64(w.Bytes) })},
-		{"relax_wal_torn_tail", "gauge", "1 when the last boot's replay stopped at a torn record.",
-			wal(func(w *api.WALStats) float64 { return b2f(w.TornTail) })},
-	}...)
-	return fams
-}()
+var nodeFamilies = []numFamily{
+	{"relax_uptime_seconds", "gauge", "Time since the service started.",
+		always(func(m *api.Metrics) float64 { return m.UptimeSeconds })},
+	{"relax_workers", "gauge", "Size of the job worker pool.",
+		always(func(m *api.Metrics) float64 { return float64(m.Workers) })},
+	{"relax_queue_capacity", "gauge", "Admission bound of the pending-job queue.",
+		always(func(m *api.Metrics) float64 { return float64(m.QueueCapacity) })},
+	{"relax_job_sched_k", "gauge", "Relaxation factor of the pending-job scheduler (0 when not k-bounded).",
+		always(func(m *api.Metrics) float64 { return float64(m.JobSchedK) })},
+	{"relax_draining", "gauge", "1 when the service has stopped admitting jobs.",
+		always(func(m *api.Metrics) float64 { return b2f(m.Draining) })},
+	{"relax_jobs_queued", "gauge", "Jobs currently pending dispatch.",
+		always(func(m *api.Metrics) float64 { return float64(m.Jobs.Queued) })},
+	{"relax_jobs_running", "gauge", "Jobs currently executing.",
+		always(func(m *api.Metrics) float64 { return float64(m.Jobs.Running) })},
+	{"relax_jobs_submitted_total", "counter", "Jobs accepted by admission control.",
+		always(func(m *api.Metrics) float64 { return float64(m.Jobs.Submitted) })},
+	{"relax_jobs_done_total", "counter", "Jobs finished successfully.",
+		always(func(m *api.Metrics) float64 { return float64(m.Jobs.Done) })},
+	{"relax_jobs_failed_total", "counter", "Jobs whose execution or verification failed.",
+		always(func(m *api.Metrics) float64 { return float64(m.Jobs.Failed) })},
+	{"relax_jobs_canceled_total", "counter", "Jobs aborted by a forced shutdown.",
+		always(func(m *api.Metrics) float64 { return float64(m.Jobs.Canceled) })},
+	{"relax_jobs_rejected_total", "counter", "Submissions refused by admission control (queue full or draining).",
+		always(func(m *api.Metrics) float64 { return float64(m.Jobs.Rejected) })},
+	{"relax_cache_entries", "gauge", "Graphs currently resident in the graph cache.",
+		always(func(m *api.Metrics) float64 { return float64(m.Cache.Entries) })},
+	{"relax_cache_capacity", "gauge", "Entry bound of the graph cache.",
+		always(func(m *api.Metrics) float64 { return float64(m.Cache.Capacity) })},
+	{"relax_cache_hits_total", "counter", "Graph-cache lookups served by an existing or in-flight entry.",
+		always(func(m *api.Metrics) float64 { return float64(m.Cache.Hits) })},
+	{"relax_cache_misses_total", "counter", "Graph-cache lookups that initiated a CSR build.",
+		always(func(m *api.Metrics) float64 { return float64(m.Cache.Misses) })},
+	{"relax_cache_evictions_total", "counter", "Graph-cache entries displaced by the LRU bound.",
+		always(func(m *api.Metrics) float64 { return float64(m.Cache.Evictions) })},
+	{"relax_sched_pops_total", "counter", "Scheduler pops across all finished jobs (workload work accounting).",
+		always(func(m *api.Metrics) float64 { return float64(m.Cost.Pops) })},
+	{"relax_sched_stale_pops_total", "counter", "Stale scheduler pops across all finished jobs.",
+		always(func(m *api.Metrics) float64 { return float64(m.Cost.StalePops) })},
+	{"relax_sched_wasted_total", "counter", "Wasted work units across all finished jobs (per-workload metric, see /v1/workloads).",
+		always(func(m *api.Metrics) float64 { return float64(m.Cost.Wasted) })},
+	{"relax_sched_steals_total", "counter", "Concurrent-scheduler pops served from another worker's lane.",
+		always(func(m *api.Metrics) float64 { return float64(m.Cost.Steals) })},
+	{"relax_sched_global_fallbacks_total", "counter", "Concurrent-scheduler pops that fell through to a global scan.",
+		always(func(m *api.Metrics) float64 { return float64(m.Cost.GlobalFallbacks) })},
+	{"relax_sched_empty_polls_total", "counter", "Concurrent-scheduler polls that found every probed lane empty.",
+		always(func(m *api.Metrics) float64 { return float64(m.Cost.EmptyPolls) })},
+	{"relax_rank_error_jobs_total", "counter", "Jobs whose dispatch rank error was measured.",
+		always(func(m *api.Metrics) float64 { return float64(m.RankError.Count) })},
+	{"relax_rank_error_mean", "gauge", "Mean per-dispatch scheduling rank error (0 = exact priority order).",
+		always(func(m *api.Metrics) float64 { return m.RankError.Mean })},
+	{"relax_rank_error_max", "gauge", "Maximum observed per-dispatch scheduling rank error.",
+		always(func(m *api.Metrics) float64 { return float64(m.RankError.Max) })},
+	{"relax_controller_enabled", "gauge", "1 when the adaptive relaxation controller (-jobsched auto) is active.",
+		ctrl(func(c *api.ControllerStats) float64 { return b2f(c.Enabled) })},
+	{"relax_controller_k", "gauge", "Job-queue relaxation currently in force by the controller.",
+		ctrl(func(c *api.ControllerStats) float64 { return float64(c.K) })},
+	{"relax_controller_batch", "gauge", "Executor batch-size target currently in force by the controller.",
+		ctrl(func(c *api.ControllerStats) float64 { return float64(c.Batch) })},
+	{"relax_controller_rank_slo", "gauge", "Operator mean-rank-error SLO target.",
+		ctrl(func(c *api.ControllerStats) float64 { return c.RankSLO })},
+	{"relax_controller_p99_slo_seconds", "gauge", "Operator queue-latency p99 SLO target.",
+		ctrl(func(c *api.ControllerStats) float64 { return c.P99SLOMs / 1000 })},
+	{"relax_controller_steps_total", "counter", "Control windows evaluated.",
+		ctrl(func(c *api.ControllerStats) float64 { return float64(c.Steps) })},
+	{"relax_controller_widened_total", "counter", "Control windows that widened a knob.",
+		ctrl(func(c *api.ControllerStats) float64 { return float64(c.Widened) })},
+	{"relax_controller_tightened_total", "counter", "Control windows that tightened a knob.",
+		ctrl(func(c *api.ControllerStats) float64 { return float64(c.Tightened) })},
+	{"relax_controller_rank_violations_total", "counter", "Control windows whose sample breached the rank SLO.",
+		ctrl(func(c *api.ControllerStats) float64 { return float64(c.RankViolations) })},
+	{"relax_controller_p99_violations_total", "counter", "Control windows whose sample breached the p99 SLO.",
+		ctrl(func(c *api.ControllerStats) float64 { return float64(c.P99Violations) })},
+	{"relax_wal_appends_total", "counter", "Write-ahead log records appended (acceptances plus terminal marks).",
+		wal(func(w *api.WALStats) float64 { return float64(w.Appends) })},
+	{"relax_wal_fsyncs_total", "counter", "Write-ahead log fsyncs issued (group commit keeps this under appends).",
+		wal(func(w *api.WALStats) float64 { return float64(w.Fsyncs) })},
+	{"relax_wal_replayed_jobs", "gauge", "Accepted-but-unfinished jobs re-enqueued from the log at the last boot.",
+		wal(func(w *api.WALStats) float64 { return float64(w.ReplayedJobs) })},
+	{"relax_wal_segments", "gauge", "Live write-ahead log segments.",
+		wal(func(w *api.WALStats) float64 { return float64(w.Segments) })},
+	{"relax_wal_compacted_total", "counter", "Write-ahead log segments deleted by compaction since boot.",
+		wal(func(w *api.WALStats) float64 { return float64(w.Compacted) })},
+	{"relax_wal_bytes_total", "counter", "Bytes appended to the write-ahead log since boot.",
+		wal(func(w *api.WALStats) float64 { return float64(w.Bytes) })},
+	{"relax_wal_torn_tail", "gauge", "1 when the last boot's replay stopped at a torn record.",
+		wal(func(w *api.WALStats) float64 { return b2f(w.TornTail) })},
+}
 
 // histFamily is one histogram family and where its wire snapshot sits in
 // a node's Metrics.

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"relaxsched/internal/api"
 	"relaxsched/internal/graph"
 )
 
@@ -45,7 +46,7 @@ func newGraphCache(capacity int) *graphCache {
 // reports whether the call was served from cache (false for the builder and
 // for waiters that piggybacked on an in-flight build). Failed builds are not
 // cached: the entry is removed so a later identical submit retries.
-func (c *graphCache) Get(spec GraphSpec) (*graph.Graph, bool, error) {
+func (c *graphCache) Get(spec api.GraphSpec) (*graph.Graph, bool, error) {
 	if c.capacity == 0 {
 		g, err := buildGraph(spec)
 		c.mu.Lock()
@@ -97,10 +98,10 @@ func (c *graphCache) Get(spec GraphSpec) (*graph.Graph, bool, error) {
 }
 
 // Stats returns a snapshot of the cache counters.
-func (c *graphCache) Stats() CacheStats {
+func (c *graphCache) Stats() api.CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{
+	return api.CacheStats{
 		Entries:   c.order.Len(),
 		Capacity:  c.capacity,
 		Hits:      c.hits,

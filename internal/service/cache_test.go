@@ -3,10 +3,12 @@ package service
 import (
 	"sync"
 	"testing"
+
+	"relaxsched/internal/api"
 )
 
-func specN(seed uint64) GraphSpec {
-	return GraphSpec{Model: ModelGNP, N: 200, Edges: 600, Seed: seed}
+func specN(seed uint64) api.GraphSpec {
+	return api.GraphSpec{Model: api.ModelGNP, N: 200, Edges: 600, Seed: seed}
 }
 
 func TestCacheHitOnRepeat(t *testing.T) {
@@ -77,7 +79,7 @@ func TestCacheSingleBuildUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			g, _, err := c.Get(GraphSpec{Model: ModelGNP, N: 5000, Edges: 20000, Seed: 42})
+			g, _, err := c.Get(api.GraphSpec{Model: api.ModelGNP, N: 5000, Edges: 20000, Seed: 42})
 			if err != nil {
 				t.Error(err)
 				return
@@ -102,7 +104,7 @@ func TestCacheSingleBuildUnderConcurrency(t *testing.T) {
 func TestCacheFailedBuildNotCached(t *testing.T) {
 	c := newGraphCache(4)
 	// Validates at Get time: gnp with more edges than a simple graph holds.
-	bad := GraphSpec{Model: ModelGNP, N: 3, Edges: 100, Seed: 1}
+	bad := api.GraphSpec{Model: api.ModelGNP, N: 3, Edges: 100, Seed: 1}
 	for i := 0; i < 2; i++ {
 		if _, _, err := c.Get(bad); err == nil {
 			t.Fatal("impossible spec built")

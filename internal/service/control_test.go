@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"relaxsched/internal/api"
 )
 
 // autoTestManager builds a paused auto-mode manager whose control loop is
@@ -105,6 +107,47 @@ func TestAutoControlStepTrajectory(t *testing.T) {
 	}
 }
 
+// TestAutoIdleWindowsDoNotWiden: the p99 the controller judges covers only
+// the dispatches of its own window. One slow dispatch breaches the SLO in
+// the window that saw it; the idle windows after it carry no samples and
+// must neither count a violation nor widen k.
+func TestAutoIdleWindowsDoNotWiden(t *testing.T) {
+	m := autoTestManager(t, Options{
+		Workers: 1, QueueDepth: 16,
+		P99SLO: 10 * time.Millisecond, ControlInterval: time.Hour,
+	})
+	st, err := m.Submit(testSpec("mis", "sequential"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Backdate the submission so its dispatch records a 2 s queue wait,
+	// then let one worker dispatch and run it.
+	m.mu.Lock()
+	m.jobs[st.ID].submitted = time.Now().Add(-2 * time.Second)
+	m.mu.Unlock()
+	m.wg.Add(1)
+	go func() {
+		defer m.wg.Done()
+		m.worker()
+	}()
+	if got := waitJob(t, m, st.ID); got.State != api.StateDone {
+		t.Fatalf("job ended %s: %s", got.State, got.Error)
+	}
+
+	m.controlStep()
+	slow := m.ctrl.Status()
+	if slow.P99Violations != 1 || slow.Widened != 1 {
+		t.Fatalf("window with the slow dispatch: %+v, want one violation and one widen", slow)
+	}
+	for i := 0; i < 5; i++ {
+		m.controlStep()
+	}
+	idle := m.ctrl.Status()
+	if idle.P99Violations != slow.P99Violations || idle.Widened != slow.Widened || idle.K != slow.K || idle.Batch != slow.Batch {
+		t.Fatalf("idle windows re-judged an old sample: after the slow window %+v, after 5 idle windows %+v", slow, idle)
+	}
+}
+
 // TestAutoManagerRunsAndStops: an unpaused auto manager executes real jobs
 // (its control loop live), reports a controller section over Metrics, and
 // Close stops the loop before the workers without deadlocking.
@@ -127,10 +170,10 @@ func TestAutoManagerRunsAndStops(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.State == StateDone {
+		if got.State == api.StateDone {
 			break
 		}
-		if got.State == StateFailed || got.State == StateCanceled {
+		if got.State == api.StateFailed || got.State == api.StateCanceled {
 			t.Fatalf("job ended %s: %s", got.State, got.Error)
 		}
 		time.Sleep(time.Millisecond)

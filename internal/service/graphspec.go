@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 
+	"relaxsched/internal/api"
 	"relaxsched/internal/graph"
 	"relaxsched/internal/rng"
 )
@@ -21,7 +22,7 @@ const graphSeedSalt = 0xbe9cbe9cbe9cbe9c
 // generator. Generation always uses every available core (as the bench
 // harness does): the builder's parallelism is an input-preparation
 // concern, independent of any job's worker count.
-func buildGraph(s GraphSpec) (*graph.Graph, error) {
+func buildGraph(s api.GraphSpec) (*graph.Graph, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -29,16 +30,16 @@ func buildGraph(s GraphSpec) (*graph.Graph, error) {
 	r := rng.New(sp.Seed ^ graphSeedSalt)
 	workers := runtime.GOMAXPROCS(0)
 	switch sp.Model {
-	case ModelGNP:
+	case api.ModelGNP:
 		p := 0.0
 		if sp.N > 1 {
 			p = float64(2*sp.Edges) / (float64(sp.N) * float64(sp.N-1))
 		}
 		return graph.ParallelGNP(sp.N, p, workers, r)
-	case ModelPowerLaw:
+	case api.ModelPowerLaw:
 		avgDeg := 2 * float64(sp.Edges) / float64(sp.N)
 		return graph.PowerLaw(sp.N, avgDeg, sp.Exponent, workers, r)
-	case ModelGrid:
+	case api.ModelGrid:
 		rows := int(math.Sqrt(float64(sp.N)))
 		for rows > 1 && sp.N%rows != 0 {
 			rows--

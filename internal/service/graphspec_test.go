@@ -3,16 +3,18 @@ package service
 import (
 	"strings"
 	"testing"
+
+	"relaxsched/internal/api"
 )
 
 // Validate and Key canonicalization tests live with the GraphSpec type in
 // internal/api; this file covers the service-side builder only.
 
 func TestBuildGraph(t *testing.T) {
-	cases := []GraphSpec{
-		{Model: ModelGNP, N: 500, Edges: 2000, Seed: 3},
-		{Model: ModelPowerLaw, N: 500, Edges: 2000, Seed: 3},
-		{Model: ModelGrid, N: 400}, // 20x20
+	cases := []api.GraphSpec{
+		{Model: api.ModelGNP, N: 500, Edges: 2000, Seed: 3},
+		{Model: api.ModelPowerLaw, N: 500, Edges: 2000, Seed: 3},
+		{Model: api.ModelGrid, N: 400}, // 20x20
 	}
 	for _, s := range cases {
 		g, err := buildGraph(s)
@@ -27,18 +29,18 @@ func TestBuildGraph(t *testing.T) {
 		}
 	}
 	// Same spec, same graph (deterministic generation).
-	a, err := buildGraph(GraphSpec{N: 300, Edges: 900, Seed: 9})
+	a, err := buildGraph(api.GraphSpec{N: 300, Edges: 900, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := buildGraph(GraphSpec{N: 300, Edges: 900, Seed: 9})
+	b, err := buildGraph(api.GraphSpec{N: 300, Edges: 900, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.NumEdges() != b.NumEdges() {
 		t.Fatalf("same spec built %d and %d edges", a.NumEdges(), b.NumEdges())
 	}
-	if _, err := buildGraph(GraphSpec{Model: "hypercube", N: 8}); err == nil || !strings.Contains(err.Error(), "unknown graph model") {
+	if _, err := buildGraph(api.GraphSpec{Model: "hypercube", N: 8}); err == nil || !strings.Contains(err.Error(), "unknown graph model") {
 		t.Fatalf("bad model build error: %v", err)
 	}
 }

@@ -31,11 +31,11 @@ func NewHandler(m *Manager) http.Handler {
 
 // Workloads lists the registered workloads in the registry's deterministic
 // (sorted) order.
-func Workloads() []WorkloadInfo {
+func Workloads() []api.WorkloadInfo {
 	all := workload.All()
-	infos := make([]WorkloadInfo, 0, len(all))
+	infos := make([]api.WorkloadInfo, 0, len(all))
 	for _, d := range all {
-		infos = append(infos, WorkloadInfo{
+		infos = append(infos, api.WorkloadInfo{
 			Name:       d.Name,
 			Kind:       d.Kind.String(),
 			Brief:      d.Brief,

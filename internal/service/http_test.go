@@ -33,7 +33,7 @@ func newTestServer(t *testing.T, opts Options) (*Manager, *httptest.Server) {
 	return m, srv
 }
 
-func postJob(t *testing.T, url string, spec JobSpec) (*http.Response, []byte) {
+func postJob(t *testing.T, url string, spec api.JobSpec) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -62,12 +62,12 @@ func TestHTTPSubmitPollRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit returned %s: %s", resp.Status, payload)
 	}
-	var st JobStatus
+	var st api.JobStatus
 	if err := json.Unmarshal(payload, &st); err != nil {
 		t.Fatal(err)
 	}
 	first := pollHTTP(t, srv.URL, st.ID)
-	if first.State != StateDone || !first.Result.Verified {
+	if first.State != api.StateDone || !first.Result.Verified {
 		t.Fatalf("first job: %+v", first)
 	}
 	if first.Result.GraphCacheHit {
@@ -82,14 +82,14 @@ func TestHTTPSubmitPollRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	second := pollHTTP(t, srv.URL, st.ID)
-	if second.State != StateDone {
+	if second.State != api.StateDone {
 		t.Fatalf("second job: %+v", second)
 	}
 	if !second.Result.GraphCacheHit {
 		t.Fatal("identical re-submit missed the graph cache")
 	}
 
-	m, err := FetchMetrics(context.Background(), nil, srv.URL)
+	m, err := api.NewClient(srv.URL).Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestHTTPSubmitPollRoundTrip(t *testing.T) {
 	}
 }
 
-func pollHTTP(t *testing.T, url string, id int64) JobStatus {
+func pollHTTP(t *testing.T, url string, id int64) api.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -109,19 +109,19 @@ func pollHTTP(t *testing.T, url string, id int64) JobStatus {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st JobStatus
+		var st api.JobStatus
 		err = json.NewDecoder(resp.Body).Decode(&st)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State != StateQueued && st.State != StateRunning {
+		if st.State != api.StateQueued && st.State != api.StateRunning {
 			return st
 		}
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("job %d did not finish over HTTP", id)
-	return JobStatus{}
+	return api.JobStatus{}
 }
 
 func TestHTTPBadRequests(t *testing.T) {
@@ -249,11 +249,11 @@ func TestHTTPJobTrace(t *testing.T) {
 	if got := resp.Header.Get(trace.Header); got != "trace-http-test" {
 		t.Fatalf("submit echoed trace id %q, want trace-http-test", got)
 	}
-	var st JobStatus
+	var st api.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if final := pollHTTP(t, srv.URL, st.ID); final.State != StateDone {
+	if final := pollHTTP(t, srv.URL, st.ID); final.State != api.StateDone {
 		t.Fatalf("job ended %s: %+v", final.State, final)
 	}
 
@@ -265,7 +265,7 @@ func TestHTTPJobTrace(t *testing.T) {
 	if tresp.StatusCode != http.StatusOK {
 		t.Fatalf("trace fetch: %s", tresp.Status)
 	}
-	var tr JobTrace
+	var tr api.JobTrace
 	if err := json.NewDecoder(tresp.Body).Decode(&tr); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestHTTPWorkloadListing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var infos []WorkloadInfo
+	var infos []api.WorkloadInfo
 	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
 		t.Fatal(err)
 	}

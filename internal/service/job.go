@@ -9,12 +9,6 @@ import (
 	"relaxsched/internal/workload"
 )
 
-// defaultJobSpec returns the documented spec template; see
-// api.DefaultJobSpec.
-func defaultJobSpec() JobSpec {
-	return api.DefaultJobSpec()
-}
-
 // validateSpec checks everything that can be rejected at admission time,
 // reusing the same validators the CLIs use (workload.ValidateFlags,
 // workload.ParseMode, registry lookup) so the service and the CLIs agree on
@@ -22,7 +16,7 @@ func defaultJobSpec() JobSpec {
 // covers the registry-independent half; binding-time errors that need the
 // graph (e.g. an sssp source beyond the vertex count) surface when the job
 // runs.
-func validateSpec(s JobSpec) error {
+func validateSpec(s api.JobSpec) error {
 	if s.Workload == "" {
 		return fmt.Errorf("workload is required")
 	}
@@ -51,7 +45,7 @@ func validateSpec(s JobSpec) error {
 }
 
 // runConfig maps the spec onto the registry's mode-dispatch config.
-func runConfig(s JobSpec) (workload.RunConfig, error) {
+func runConfig(s api.JobSpec) (workload.RunConfig, error) {
 	mode, err := workload.ParseMode(s.Mode)
 	if err != nil {
 		return workload.RunConfig{}, err
@@ -65,7 +59,7 @@ func runConfig(s JobSpec) (workload.RunConfig, error) {
 }
 
 // runParams maps the spec onto the registry's workload parameters.
-func runParams(s JobSpec) workload.Params {
+func runParams(s api.JobSpec) workload.Params {
 	return workload.Params{
 		Seed:      s.Seed,
 		Delta:     s.Delta,
@@ -78,10 +72,10 @@ func runParams(s JobSpec) workload.Params {
 // job is the manager's internal record.
 type job struct {
 	id        int64
-	spec      JobSpec
-	state     JobState
+	spec      api.JobSpec
+	state     api.JobState
 	err       error
-	result    *JobResult
+	result    *api.JobResult
 	queueRank int
 	queueTime time.Duration
 	submitted time.Time
@@ -92,8 +86,8 @@ type job struct {
 	traceID string
 }
 
-func (j *job) status() JobStatus {
-	st := JobStatus{
+func (j *job) status() api.JobStatus {
+	st := api.JobStatus{
 		ID:          j.id,
 		State:       j.state,
 		Spec:        j.spec,

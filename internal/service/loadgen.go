@@ -39,7 +39,7 @@ type LoadConfig struct {
 	// Graph is the input every job asks for; one spec means the graph
 	// cache should serve every job after the first from memory (and, via
 	// a gateway, that every job lands on the one backend owning the key).
-	Graph GraphSpec
+	Graph api.GraphSpec
 	// GraphSeeds > 1 cycles job i's generator seed over [Graph.Seed,
 	// Graph.Seed+GraphSeeds), spreading the run across that many distinct
 	// graph keys — through a gateway, across that many ring positions —
@@ -86,7 +86,7 @@ func (c LoadConfig) withDefaults() LoadConfig {
 		c.Threads = 2
 	}
 	if c.Graph.N == 0 {
-		c.Graph = GraphSpec{Model: ModelGNP, N: 2000, Edges: 8000, Seed: 1}
+		c.Graph = api.GraphSpec{Model: api.ModelGNP, N: 2000, Edges: 8000, Seed: 1}
 	}
 	if c.PrioritySpread == 0 {
 		c.PrioritySpread = 100
@@ -127,7 +127,7 @@ type LoadResult struct {
 	// order per client; Terminal maps the subset this run observed
 	// reaching a terminal state to that state.
 	Accepted []int64
-	Terminal map[int64]JobState
+	Terminal map[int64]api.JobState
 	// Elapsed is the wall-clock span of the whole run.
 	Elapsed time.Duration
 	// Throughput is Jobs / Elapsed, in jobs per second.
@@ -139,7 +139,7 @@ type LoadResult struct {
 	// carrying the server-side view: rank error, queue latency, cache
 	// hit rate. Against a gateway this is the cluster-wide aggregate
 	// (global rank error, summed cache counters).
-	Metrics Metrics
+	Metrics api.Metrics
 }
 
 // Format renders the result as the relaxload report.
@@ -194,7 +194,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadResult, error) {
 	}
 	close(next)
 
-	res.Terminal = make(map[int64]JobState)
+	res.Terminal = make(map[int64]api.JobState)
 	start := time.Now()
 
 	if cfg.Progress != nil && cfg.ProgressInterval > 0 {
@@ -254,7 +254,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadResult, error) {
 					return
 				}
 				res.Jobs++
-				if state != StateDone {
+				if state != api.StateDone {
 					res.Failed++
 				}
 				res.Terminal[id] = state
@@ -299,8 +299,8 @@ type loadCounters struct {
 // client-observed latency and the final state. The id is returned even
 // when the poll errors out, so the caller can account for accepted jobs
 // whose fate this run never saw.
-func runOneJob(ctx context.Context, cli *api.Client, cfg LoadConfig, i int, counters *loadCounters) (int64, time.Duration, JobState, int, error) {
-	spec := defaultJobSpec()
+func runOneJob(ctx context.Context, cli *api.Client, cfg LoadConfig, i int, counters *loadCounters) (int64, time.Duration, api.JobState, int, error) {
+	spec := api.DefaultJobSpec()
 	spec.Workload = cfg.Workloads[i%len(cfg.Workloads)]
 	spec.Mode = cfg.Mode
 	spec.Threads = cfg.Threads
@@ -353,24 +353,9 @@ func runOneJob(ctx context.Context, cli *api.Client, cfg LoadConfig, i int, coun
 			return id, 0, "", rejected, fmt.Errorf("loadgen: status: %w", err)
 		}
 		switch st.State {
-		case StateDone, StateFailed, StateCanceled:
+		case api.StateDone, api.StateFailed, api.StateCanceled:
 			counters.terminal.Add(1)
 			return id, time.Since(start), st.State, rejected, nil
 		}
 	}
-}
-
-// FetchMetrics GETs and decodes a service's /v1/metrics snapshot through
-// the typed client. client overrides the underlying *http.Client when
-// non-nil.
-func FetchMetrics(ctx context.Context, client *http.Client, baseURL string) (Metrics, error) {
-	c := api.NewClient(strings.TrimRight(baseURL, "/"))
-	if client != nil {
-		c.HTTP = client
-	}
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		return Metrics{}, fmt.Errorf("loadgen: fetching metrics: %w", err)
-	}
-	return m, nil
 }

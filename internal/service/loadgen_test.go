@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"relaxsched/internal/api"
 )
 
 // TestRunLoadClosedLoop drives a small closed-loop load through a real
@@ -18,7 +20,7 @@ func TestRunLoadClosedLoop(t *testing.T) {
 		Jobs:      12,
 		Workloads: []string{"mis", "pagerank", "sssp"},
 		Mode:      "concurrent",
-		Graph:     GraphSpec{Model: ModelGNP, N: 500, Edges: 2000, Seed: 1},
+		Graph:     api.GraphSpec{Model: api.ModelGNP, N: 500, Edges: 2000, Seed: 1},
 		Verify:    true,
 	})
 	if err != nil {
@@ -50,7 +52,7 @@ func TestRunLoadClosedLoop(t *testing.T) {
 			len(res.Accepted), len(res.Terminal), res.Unfinished)
 	}
 	for _, id := range res.Accepted {
-		if st, ok := res.Terminal[id]; !ok || st != StateDone {
+		if st, ok := res.Terminal[id]; !ok || st != api.StateDone {
 			t.Fatalf("accepted job %d terminal state = %v (tracked %v)", id, st, ok)
 		}
 	}
@@ -74,7 +76,7 @@ func TestLoadResultReportsUnfinished(t *testing.T) {
 		Jobs:       3,
 		Unfinished: 2,
 		Accepted:   []int64{1, 2, 3, 4, 5},
-		Terminal:   map[int64]JobState{1: StateDone, 2: StateDone, 3: StateFailed},
+		Terminal:   map[int64]api.JobState{1: api.StateDone, 2: api.StateDone, 3: api.StateFailed},
 	}
 	report := r.Format()
 	if !strings.Contains(report, "WARNING: 2 accepted jobs never reached a terminal state") {
@@ -97,7 +99,7 @@ func TestRunLoadBacksOffWhenQueueFull(t *testing.T) {
 		Jobs:      8,
 		Workloads: []string{"mis"},
 		Mode:      "sequential",
-		Graph:     GraphSpec{Model: ModelGNP, N: 400_000, Edges: 1_600_000, Seed: 2},
+		Graph:     api.GraphSpec{Model: api.ModelGNP, N: 400_000, Edges: 1_600_000, Seed: 2},
 		Verify:    true,
 	})
 	if err != nil {

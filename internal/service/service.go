@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -161,9 +162,10 @@ type Manager struct {
 
 	// Observability: the structured logger (job-scoped lines carry job_id
 	// and trace_id), the bounded per-job lifecycle trace ring behind
-	// GET /v1/jobs/{id}/trace, and the log-bucketed latency histograms that
-	// back the Prometheus exposition. All four are internally synchronized
-	// and are used outside mu.
+	// GET /v1/jobs/{id}/trace, and the log-bucketed latency histograms
+	// behind the latency summaries, the Prometheus exposition and the
+	// control loop's p99. All four are internally synchronized and are
+	// used outside mu.
 	logger    *slog.Logger
 	rec       *trace.Recorder
 	queueHist *metricsexport.Histogram
@@ -198,21 +200,21 @@ type Manager struct {
 	pending  int
 	reserved int
 	running  int
-	counts   JobCounts
-	cost     CostTotals
+	counts   api.JobCounts
+	cost     api.CostTotals
 	rank     ranktrack.Stats
-	queueLat latencyRing
-	execLat  latencyRing
 	closed   bool // no new submissions; workers drain the queue
 	aborted  bool // forced: workers stop popping
 
 	// Control-loop bookkeeping (JobSched "auto" only, under mu):
 	// ctrlStatus is the latest controller snapshot for Metrics;
-	// lastRankCount/lastRankSum window the cumulative rank stats so each
-	// control step sees only its own window's mean.
-	ctrlStatus    control.Status
-	lastRankCount int64
-	lastRankSum   float64
+	// lastRankCount/lastRankSum and lastQueueCounts window the cumulative
+	// rank stats and queue-latency histogram so each control step sees
+	// only its own window.
+	ctrlStatus      control.Status
+	lastRankCount   int64
+	lastRankSum     float64
+	lastQueueCounts []int64
 }
 
 // NewManager validates the options, builds the job scheduler and starts the
@@ -331,15 +333,15 @@ func (m *Manager) openLog() error {
 		j := &job{id: tj.ID, spec: tj.Spec, submitted: now, recovered: true}
 		switch {
 		case tj.Kind == wal.KindCanceled:
-			j.state = StateCanceled
+			j.state = api.StateCanceled
 			j.err = errRecoveredCanceled
 			m.counts.Canceled++
 		case tj.Outcome == wal.OutcomeFailed:
-			j.state = StateFailed
+			j.state = api.StateFailed
 			j.err = errRecoveredFailed
 			m.counts.Failed++
 		default:
-			j.state = StateDone
+			j.state = api.StateDone
 			m.counts.Done++
 		}
 		m.counts.Submitted++
@@ -349,7 +351,7 @@ func (m *Manager) openLog() error {
 	for _, rj := range replay.Unfinished {
 		// A replayed job gets a fresh trace ID — the pre-crash one was never
 		// persisted — so its re-execution is still greppable end to end.
-		j := &job{id: rj.ID, spec: rj.Spec, state: StateQueued, submitted: now, recovered: true, traceID: trace.NewID()}
+		j := &job{id: rj.ID, spec: rj.Spec, state: api.StateQueued, submitted: now, recovered: true, traceID: trace.NewID()}
 		m.jobs[j.id] = j
 		m.rec.Begin(j.id, j.traceID)
 		m.rec.Next(j.id, "queued", "recovered from job log")
@@ -398,11 +400,22 @@ func (m *Manager) controlStep() {
 	}
 	m.lastRankCount = m.rank.Count
 	m.lastRankSum = m.rank.Sum
+	// Windowed p99 queue latency: the histogram's bucket counts minus the
+	// previous step's (only the counts are windowed, and only the p99 is
+	// read). A window with no dispatches summarizes to 0, which the
+	// controller reads as "no samples" rather than re-judging old ones.
+	window := m.queueHist.Snapshot()
+	lifetime := window.Counts
+	window.Counts = slices.Clone(lifetime)
+	for i, c := range m.lastQueueCounts {
+		window.Counts[i] -= c
+	}
+	m.lastQueueCounts = lifetime
 	d := m.ctrl.Step(control.Sample{
 		QueueDepth: m.pending,
 		QueueCap:   m.opts.QueueDepth,
 		RankErr:    rankErr,
-		P99Ms:      m.queueLat.summary().P99Ms,
+		P99Ms:      metricsexport.Summarize(window).P99Ms,
 	})
 	if d.K != m.autoQueue.K() {
 		m.autoQueue.SetK(d.K)
@@ -431,7 +444,7 @@ func (m *Manager) stopControl() {
 // Close has begun; both leave no trace beyond the rejection counter. With a
 // write-ahead log, the accept record is fsynced before Submit returns —
 // the acknowledgment the caller hands out is the durability guarantee.
-func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
+func (m *Manager) Submit(spec api.JobSpec) (api.JobStatus, error) {
 	return m.SubmitTraced(spec, "")
 }
 
@@ -439,18 +452,18 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 // forwards the request's X-Relax-Trace-Id); empty mints a fresh one. The
 // ID is stamped on the job's lifecycle trace and every one of its log
 // lines.
-func (m *Manager) SubmitTraced(spec JobSpec, traceID string) (JobStatus, error) {
+func (m *Manager) SubmitTraced(spec api.JobSpec, traceID string) (api.JobStatus, error) {
 	if traceID == "" {
 		traceID = trace.NewID()
 	}
 	if err := validateSpec(spec); err != nil {
-		return JobStatus{}, err
+		return api.JobStatus{}, err
 	}
 	m.mu.Lock()
 	if m.closed {
 		m.counts.Rejected++
 		m.mu.Unlock()
-		return JobStatus{}, ErrDraining
+		return api.JobStatus{}, ErrDraining
 	}
 	// reserved counts submissions whose accept record is still syncing:
 	// they hold their admission slot so a burst of in-flight fsyncs cannot
@@ -458,14 +471,14 @@ func (m *Manager) SubmitTraced(spec JobSpec, traceID string) (JobStatus, error) 
 	if m.pending+m.reserved >= m.opts.QueueDepth {
 		m.counts.Rejected++
 		m.mu.Unlock()
-		return JobStatus{}, ErrQueueFull
+		return api.JobStatus{}, ErrQueueFull
 	}
 	if m.nextID > math.MaxInt32 {
 		// Job ids ride in sched.Item.Task (int32). Two billion jobs into a
 		// process's life, refusing is safer than wrapping.
 		m.counts.Rejected++
 		m.mu.Unlock()
-		return JobStatus{}, fmt.Errorf("service: job id space exhausted")
+		return api.JobStatus{}, fmt.Errorf("service: job id space exhausted")
 	}
 	id := m.nextID
 	m.nextID++
@@ -485,7 +498,7 @@ func (m *Manager) SubmitTraced(spec JobSpec, traceID string) (JobStatus, error) 
 			m.counts.Rejected++
 			m.mu.Unlock()
 			m.rec.Finish(id, "rejected", "job log unavailable")
-			return JobStatus{}, fmt.Errorf("%w: %v", ErrLogUnavailable, err)
+			return api.JobStatus{}, fmt.Errorf("%w: %v", ErrLogUnavailable, err)
 		}
 		if m.closed {
 			// Drain began while the accept record synced. The record is
@@ -502,7 +515,7 @@ func (m *Manager) SubmitTraced(spec JobSpec, traceID string) (JobStatus, error) 
 				m.logger.Error("drain-rejected job: cancel mark not persisted, job may execute after restart",
 					"job_id", id, "trace_id", traceID, "err", werr)
 			}
-			return JobStatus{}, ErrDraining
+			return api.JobStatus{}, ErrDraining
 		}
 		m.rec.Next(id, "wal-synced", "")
 	}
@@ -510,7 +523,7 @@ func (m *Manager) SubmitTraced(spec JobSpec, traceID string) (JobStatus, error) 
 	j := &job{
 		id:        id,
 		spec:      spec,
-		state:     StateQueued,
+		state:     api.StateQueued,
 		submitted: time.Now(),
 		traceID:   traceID,
 	}
@@ -530,23 +543,24 @@ func (m *Manager) SubmitTraced(spec JobSpec, traceID string) (JobStatus, error) 
 }
 
 // Status returns a job's current status by id.
-func (m *Manager) Status(id int64) (JobStatus, error) {
+func (m *Manager) Status(id int64) (api.JobStatus, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
-		return JobStatus{}, fmt.Errorf("%w: id %d", ErrUnknownJob, id)
+		return api.JobStatus{}, fmt.Errorf("%w: id %d", ErrUnknownJob, id)
 	}
 	return j.status(), nil
 }
 
 // Metrics returns a consistent snapshot of the service counters.
-func (m *Manager) Metrics() Metrics {
+func (m *Manager) Metrics() api.Metrics {
 	cache := m.cache.Stats()
-	var walStats *WALStats
+	queueHist, execHist := m.queueHist.Snapshot(), m.execHist.Snapshot()
+	var walStats *api.WALStats
 	if m.wlog != nil {
 		s := m.wlog.Stats()
-		walStats = &WALStats{
+		walStats = &api.WALStats{
 			Appends:      s.Appends,
 			Fsyncs:       s.Fsyncs,
 			ReplayedJobs: s.ReplayedJobs,
@@ -561,9 +575,9 @@ func (m *Manager) Metrics() Metrics {
 	counts := m.counts
 	counts.Queued = int64(m.pending)
 	counts.Running = int64(m.running)
-	re := RankErrorStats{Count: m.rank.Count, Mean: m.rank.Mean(), Max: m.rank.Max}
+	re := api.RankErrorStats{Count: m.rank.Count, Mean: m.rank.Mean(), Max: m.rank.Max}
 	jobSchedK := m.opts.JobSchedK
-	var ctrlStats *ControllerStats
+	var ctrlStats *api.ControllerStats
 	if m.ctrl != nil {
 		// Under auto the configured K is meaningless — the live k lives in
 		// the controller section. Reporting 0 here also keeps a cluster of
@@ -572,7 +586,7 @@ func (m *Manager) Metrics() Metrics {
 		jobSchedK = 0
 		cfg := m.ctrl.Config()
 		st := m.ctrlStatus
-		ctrlStats = &ControllerStats{
+		ctrlStats = &api.ControllerStats{
 			Enabled:        true,
 			K:              st.K,
 			Batch:          st.Batch,
@@ -586,7 +600,7 @@ func (m *Manager) Metrics() Metrics {
 			LastAdjustment: st.LastAdjustment,
 		}
 	}
-	return Metrics{
+	return api.Metrics{
 		UptimeSeconds:    time.Since(m.started).Seconds(),
 		JobSched:         m.opts.JobSched,
 		JobSchedK:        jobSchedK,
@@ -597,10 +611,10 @@ func (m *Manager) Metrics() Metrics {
 		Cache:            cache,
 		Cost:             m.cost,
 		RankError:        re,
-		QueueLatency:     m.queueLat.summary(),
-		ExecLatency:      m.execLat.summary(),
-		QueueLatencyHist: m.queueHist.Snapshot(),
-		ExecLatencyHist:  m.execHist.Snapshot(),
+		QueueLatency:     metricsexport.Summarize(queueHist),
+		ExecLatency:      metricsexport.Summarize(execHist),
+		QueueLatencyHist: queueHist,
+		ExecLatencyHist:  execHist,
 		Controller:       ctrlStats,
 		WAL:              walStats,
 	}
@@ -677,7 +691,7 @@ func (m *Manager) Close(ctx context.Context) error {
 		}
 		m.tracker.Remove(it)
 		m.pending--
-		if j := m.jobs[int64(it.Task)]; j != nil && j.state == StateQueued {
+		if j := m.jobs[int64(it.Task)]; j != nil && j.state == api.StateQueued {
 			canceled = append(canceled, j)
 		}
 	}
@@ -707,7 +721,7 @@ func (m *Manager) Close(ctx context.Context) error {
 
 	m.mu.Lock()
 	for _, j := range canceled {
-		j.state = StateCanceled
+		j.state = api.StateCanceled
 		j.err = context.Canceled
 		m.counts.Canceled++
 		m.retainLocked(j.id)
@@ -750,12 +764,11 @@ func (m *Manager) worker() {
 		rank := m.tracker.Remove(it)
 		m.pending--
 		j := m.jobs[int64(it.Task)]
-		j.state = StateRunning
+		j.state = api.StateRunning
 		j.queueRank = rank
 		j.queueTime = time.Since(j.submitted)
 		m.running++
 		m.rank.Observe(rank)
-		m.queueLat.add(j.queueTime.Seconds())
 		// The dispatch span records the paper's per-job quality metric right
 		// where it is observed: this job's rank among all pending jobs.
 		m.rec.Next(j.id, "dispatched", fmt.Sprintf("queue_rank=%d rank_err=%d", rank, rank-1))
@@ -810,7 +823,7 @@ func (m *Manager) execute(j *job) {
 		}
 		verified = true
 	}
-	m.finish(j, &JobResult{
+	m.finish(j, &api.JobResult{
 		Summary:         res.Output.Summary(),
 		Verified:        verified,
 		Pops:            res.Cost.Pops,
@@ -830,7 +843,7 @@ func (m *Manager) execute(j *job) {
 // state change becomes visible: once a client observes done, the job can
 // never re-run after a crash — the no-duplicate-execution half of the
 // durability contract.
-func (m *Manager) finish(j *job, result *JobResult, err error, elapsed time.Duration) {
+func (m *Manager) finish(j *job, result *api.JobResult, err error, elapsed time.Duration) {
 	if m.wlog != nil {
 		var werr error
 		switch {
@@ -855,7 +868,7 @@ func (m *Manager) finish(j *job, result *JobResult, err error, elapsed time.Dura
 	m.running--
 	switch {
 	case err == nil:
-		j.state = StateDone
+		j.state = api.StateDone
 		j.result = result
 		m.counts.Done++
 		m.cost.Pops += result.Pops
@@ -864,13 +877,12 @@ func (m *Manager) finish(j *job, result *JobResult, err error, elapsed time.Dura
 		m.cost.Steals += result.Steals
 		m.cost.GlobalFallbacks += result.GlobalFallbacks
 		m.cost.EmptyPolls += result.EmptyPolls
-		m.execLat.add(elapsed.Seconds())
 	case errors.Is(err, core.ErrCanceled) || errors.Is(err, context.Canceled):
-		j.state = StateCanceled
+		j.state = api.StateCanceled
 		j.err = err
 		m.counts.Canceled++
 	default:
-		j.state = StateFailed
+		j.state = api.StateFailed
 		j.err = err
 		m.counts.Failed++
 	}
@@ -879,7 +891,7 @@ func (m *Manager) finish(j *job, result *JobResult, err error, elapsed time.Dura
 	m.mu.Unlock()
 
 	switch state {
-	case StateDone:
+	case api.StateDone:
 		m.execHist.Observe(elapsed.Seconds())
 		m.rec.Finish(j.id, "done", result.Summary)
 		m.logger.Info("job done", "job_id", j.id, "trace_id", j.traceID,
@@ -887,7 +899,7 @@ func (m *Manager) finish(j *job, result *JobResult, err error, elapsed time.Dura
 			"exec_ms", float64(elapsed.Nanoseconds())/1e6,
 			"queue_ms", float64(j.queueTime.Nanoseconds())/1e6,
 			"queue_rank", j.queueRank, "cache_hit", result.GraphCacheHit)
-	case StateCanceled:
+	case api.StateCanceled:
 		m.rec.Finish(j.id, "canceled", err.Error())
 		m.logger.Info("job canceled", "job_id", j.id, "trace_id", j.traceID,
 			"workload", j.spec.Workload, "mode", j.spec.Mode)

@@ -3,23 +3,26 @@ package service
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
+
+	"relaxsched/internal/api"
 )
 
 // testSpec returns a small valid job spec for unit tests.
-func testSpec(workloadName, mode string) JobSpec {
-	spec := defaultJobSpec()
+func testSpec(workloadName, mode string) api.JobSpec {
+	spec := api.DefaultJobSpec()
 	spec.Workload = workloadName
 	spec.Mode = mode
-	spec.Graph = GraphSpec{Model: ModelGNP, N: 400, Edges: 1600, Seed: 7}
+	spec.Graph = api.GraphSpec{Model: api.ModelGNP, N: 400, Edges: 1600, Seed: 7}
 	spec.Seed = 5
 	return spec
 }
 
 // waitJob polls the manager until the job leaves the queued/running states.
-func waitJob(t *testing.T, m *Manager, id int64) JobStatus {
+func waitJob(t *testing.T, m *Manager, id int64) api.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -27,13 +30,13 @@ func waitJob(t *testing.T, m *Manager, id int64) JobStatus {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State != StateQueued && st.State != StateRunning {
+		if st.State != api.StateQueued && st.State != api.StateRunning {
 			return st
 		}
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("job %d did not finish", id)
-	return JobStatus{}
+	return api.JobStatus{}
 }
 
 // TestManagerEndToEndAllWorkloadsAllModes is the subsystem's core
@@ -50,13 +53,14 @@ func TestManagerEndToEndAllWorkloadsAllModes(t *testing.T) {
 	workloads := []string{"mis", "coloring", "matching", "sssp", "kcore", "pagerank"}
 	modes := []string{"sequential", "relaxed", "concurrent", "exact"}
 	var ids []int64
+	var queueNs, execNs []int64
 	for _, wl := range workloads {
 		for _, mode := range modes {
 			st, err := m.Submit(testSpec(wl, mode))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", wl, mode, err)
 			}
-			if st.State != StateQueued {
+			if st.State != api.StateQueued {
 				t.Fatalf("%s/%s: submitted job in state %q", wl, mode, st.State)
 			}
 			ids = append(ids, st.ID)
@@ -64,7 +68,7 @@ func TestManagerEndToEndAllWorkloadsAllModes(t *testing.T) {
 	}
 	for i, id := range ids {
 		st := waitJob(t, m, id)
-		if st.State != StateDone {
+		if st.State != api.StateDone {
 			t.Fatalf("%s/%s: job ended %q: %s", workloads[i/len(modes)], modes[i%len(modes)], st.State, st.Error)
 		}
 		if !st.Result.Verified {
@@ -79,6 +83,8 @@ func TestManagerEndToEndAllWorkloadsAllModes(t *testing.T) {
 		if st.QueueNanos < 0 {
 			t.Fatalf("job %d has negative queue latency", id)
 		}
+		queueNs = append(queueNs, st.QueueNanos)
+		execNs = append(execNs, st.Result.ExecNanos)
 	}
 
 	met := m.Metrics()
@@ -99,8 +105,23 @@ func TestManagerEndToEndAllWorkloadsAllModes(t *testing.T) {
 	if met.Cost.Pops == 0 {
 		t.Fatal("no pops accumulated in cost totals")
 	}
-	if met.QueueLatency.Count != int64(len(ids)) || met.ExecLatency.Count != int64(len(ids)) {
-		t.Fatalf("latency counts = %d/%d, want %d", met.QueueLatency.Count, met.ExecLatency.Count, len(ids))
+	// The summaries' count, mean and max are exact over the jobs' own
+	// recorded queue waits and execution times.
+	for _, c := range []struct {
+		name string
+		got  api.LatencySummary
+		ns   []int64
+	}{{"queue", met.QueueLatency, queueNs}, {"exec", met.ExecLatency, execNs}} {
+		var sum, maxNs int64
+		for _, v := range c.ns {
+			sum += v
+			maxNs = max(maxNs, v)
+		}
+		mean, maxMs := float64(sum)/float64(len(c.ns))/1e6, float64(maxNs)/1e6
+		if c.got.Count != int64(len(c.ns)) || math.Abs(c.got.MeanMs-mean) > 1e-9*mean || math.Abs(c.got.MaxMs-maxMs) > 1e-9*maxMs {
+			t.Fatalf("%s latency count/mean/max = %d/%v/%v, want %d/%v/%v",
+				c.name, c.got.Count, c.got.MeanMs, c.got.MaxMs, len(c.ns), mean, maxMs)
+		}
 	}
 }
 
@@ -135,7 +156,7 @@ func TestAdmissionControlQueueFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State != StateCanceled {
+		if st.State != api.StateCanceled {
 			t.Fatalf("job %d left in state %q after forced close", id, st.State)
 		}
 	}
@@ -156,21 +177,21 @@ func TestSubmitValidation(t *testing.T) {
 		m.Close(ctx)
 	}()
 
-	cases := map[string]func(*JobSpec){
-		"missing workload":  func(s *JobSpec) { s.Workload = "" },
-		"unknown workload":  func(s *JobSpec) { s.Workload = "galactic" },
-		"unknown mode":      func(s *JobSpec) { s.Mode = "quantum" },
-		"zero k":            func(s *JobSpec) { s.K = 0 },
-		"negative threads":  func(s *JobSpec) { s.Threads = -1 },
-		"negative batch":    func(s *JobSpec) { s.Batch = -1 },
-		"zero vertices":     func(s *JobSpec) { s.Graph.N = 0 },
-		"huge graph":        func(s *JobSpec) { s.Graph.N = MaxGraphVertices + 1 },
-		"huge edge target":  func(s *JobSpec) { s.Graph.Edges = MaxGraphEdges + 1 },
-		"unknown model":     func(s *JobSpec) { s.Graph.Model = "hypercube" },
-		"bad exponent":      func(s *JobSpec) { s.Graph.Model = ModelPowerLaw; s.Graph.Exponent = 0.5 },
-		"negative tol":      func(s *JobSpec) { s.Tolerance = -1 },
-		"damping too large": func(s *JobSpec) { s.Damping = 1.5 },
-		"bad source":        func(s *JobSpec) { s.Source = -2 },
+	cases := map[string]func(*api.JobSpec){
+		"missing workload":  func(s *api.JobSpec) { s.Workload = "" },
+		"unknown workload":  func(s *api.JobSpec) { s.Workload = "galactic" },
+		"unknown mode":      func(s *api.JobSpec) { s.Mode = "quantum" },
+		"zero k":            func(s *api.JobSpec) { s.K = 0 },
+		"negative threads":  func(s *api.JobSpec) { s.Threads = -1 },
+		"negative batch":    func(s *api.JobSpec) { s.Batch = -1 },
+		"zero vertices":     func(s *api.JobSpec) { s.Graph.N = 0 },
+		"huge graph":        func(s *api.JobSpec) { s.Graph.N = api.MaxGraphVertices + 1 },
+		"huge edge target":  func(s *api.JobSpec) { s.Graph.Edges = api.MaxGraphEdges + 1 },
+		"unknown model":     func(s *api.JobSpec) { s.Graph.Model = "hypercube" },
+		"bad exponent":      func(s *api.JobSpec) { s.Graph.Model = api.ModelPowerLaw; s.Graph.Exponent = 0.5 },
+		"negative tol":      func(s *api.JobSpec) { s.Tolerance = -1 },
+		"damping too large": func(s *api.JobSpec) { s.Damping = 1.5 },
+		"bad source":        func(s *api.JobSpec) { s.Source = -2 },
 	}
 	for name, mutate := range cases {
 		spec := testSpec("mis", "sequential")
@@ -211,7 +232,7 @@ func TestGracefulDrainRunsQueuedJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State != StateDone {
+		if st.State != api.StateDone {
 			t.Fatalf("job %d ended %q after graceful drain: %s", id, st.State, st.Error)
 		}
 	}
@@ -236,7 +257,7 @@ func TestForcedDrainAbortsInFlight(t *testing.T) {
 	var ids []int64
 	for i := 0; i < 6; i++ {
 		spec := testSpec("pagerank", "concurrent")
-		spec.Graph = GraphSpec{Model: ModelGNP, N: 20_000, Edges: 80_000, Seed: 9}
+		spec.Graph = api.GraphSpec{Model: api.ModelGNP, N: 20_000, Edges: 80_000, Seed: 9}
 		spec.Batch = 1
 		spec.Tolerance = 1e-10
 		st, err := m.Submit(spec)
@@ -253,21 +274,21 @@ func TestForcedDrainAbortsInFlight(t *testing.T) {
 	} else if !errors.Is(closeErr, context.DeadlineExceeded) {
 		t.Fatalf("forced close returned %v", closeErr)
 	}
-	states := map[JobState]int{}
+	states := map[api.JobState]int{}
 	for _, id := range ids {
 		st, err := m.Status(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State == StateQueued || st.State == StateRunning {
+		if st.State == api.StateQueued || st.State == api.StateRunning {
 			t.Fatalf("job %d still %q after forced close", id, st.State)
 		}
-		if st.State == StateFailed {
+		if st.State == api.StateFailed {
 			t.Fatalf("job %d failed: %s", id, st.Error)
 		}
 		states[st.State]++
 	}
-	if closeErr != nil && states[StateCanceled] == 0 {
+	if closeErr != nil && states[api.StateCanceled] == 0 {
 		t.Fatalf("forced close canceled nothing: %v", states)
 	}
 	waitForGoroutines(t, before)
@@ -300,7 +321,7 @@ func TestJobRetentionBound(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if st.State == StateDone {
+				if st.State == api.StateDone {
 					return
 				}
 				time.Sleep(time.Millisecond)

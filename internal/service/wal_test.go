@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"relaxsched/internal/api"
 	"relaxsched/internal/wal"
 )
 
@@ -60,7 +61,7 @@ func TestManagerWALReplayAfterAbandonedLog(t *testing.T) {
 
 	// Job 1 had no terminal mark: it must replay, run and finish.
 	st := waitJob(t, m, 1)
-	if st.State != StateDone {
+	if st.State != api.StateDone {
 		t.Fatalf("replayed job 1 state = %q (err %q), want done", st.State, st.Error)
 	}
 	if !st.Recovered {
@@ -75,14 +76,14 @@ func TestManagerWALReplayAfterAbandonedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.State != StateDone || !st2.Recovered || st2.Result != nil {
+	if st2.State != api.StateDone || !st2.Recovered || st2.Result != nil {
 		t.Fatalf("recovered done job 2 = state %q recovered %v result %v", st2.State, st2.Recovered, st2.Result)
 	}
 	st3, err := m.Status(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st3.State != StateFailed || !st3.Recovered {
+	if st3.State != api.StateFailed || !st3.Recovered {
 		t.Fatalf("recovered failed job 3 = state %q recovered %v", st3.State, st3.Recovered)
 	}
 
@@ -135,7 +136,7 @@ func TestManagerWALDrainLeavesNothingToReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State != StateDone || !st.Recovered {
+		if st.State != api.StateDone || !st.Recovered {
 			t.Fatalf("job %d after reboot = state %q recovered %v", id, st.State, st.Recovered)
 		}
 	}
@@ -171,7 +172,7 @@ func TestManagerWALForcedDrainCancelsDurably(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State != StateCanceled || !st.Recovered {
+		if st.State != api.StateCanceled || !st.Recovered {
 			t.Fatalf("job %d after forced-drain reboot = state %q recovered %v", id, st.State, st.Recovered)
 		}
 	}
@@ -209,7 +210,7 @@ func TestManagerWALForcedDrainSurfacesMarkFailure(t *testing.T) {
 		if serr != nil {
 			t.Fatal(serr)
 		}
-		if st.State != StateQueued {
+		if st.State != api.StateQueued {
 			t.Fatalf("job %d state = %q after unrecordable cancel, want queued", id, st.State)
 		}
 	}

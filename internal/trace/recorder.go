@@ -78,6 +78,28 @@ func NewRecorder(capacity int) *Recorder {
 // Begin for a live job id resets its timeline (job ids are unique in
 // practice; the reset keeps the ring consistent if they are not).
 func (r *Recorder) Begin(jobID int64, traceID string) {
+	r.store(jobID, &timeline{
+		traceID: traceID,
+		start:   time.Now(),
+		spans:   []Span{{Name: "accepted"}},
+	})
+}
+
+// Put stores a complete, already-timed timeline under tl.JobID, with the
+// same eviction and reset rules as Begin. It serves recorders that time a
+// phase themselves — the gateway's submit hop — rather than stepping
+// through it with Next and Finish.
+func (r *Recorder) Put(tl Timeline) {
+	spans := append([]Span(nil), tl.Spans...)
+	for i := range spans {
+		spans[i].Detail = clipDetail(spans[i].Detail)
+	}
+	r.store(tl.JobID, &timeline{traceID: tl.TraceID, start: tl.Start, spans: spans})
+}
+
+// store installs tl under jobID, evicting the oldest begun timeline when
+// a new id would exceed the capacity.
+func (r *Recorder) store(jobID int64, tl *timeline) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, live := r.timelines[jobID]; !live {
@@ -88,11 +110,7 @@ func (r *Recorder) Begin(jobID int64, traceID string) {
 		}
 		r.order = append(r.order, jobID)
 	}
-	r.timelines[jobID] = &timeline{
-		traceID: traceID,
-		start:   time.Now(),
-		spans:   []Span{{Name: "accepted"}},
-	}
+	r.timelines[jobID] = tl
 }
 
 // Next closes the job's open span and opens a new one named name.

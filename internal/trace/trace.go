@@ -12,7 +12,8 @@
 //   - The Recorder: a bounded per-manager ring of per-job span timelines
 //     (accepted → wal-synced → queued → dispatched → graph-build/cache-hit
 //     → executing → terminal), recorded with monotonic timestamps and
-//     served by GET /v1/jobs/{id}/trace.
+//     served by GET /v1/jobs/{id}/trace. The gateway keeps one too, for
+//     the submit hop it prepends to each routed job's trace.
 //   - NewLogger: the shared -log-level/-log-format flag semantics for the
 //     daemons' structured (log/slog) logging.
 package trace

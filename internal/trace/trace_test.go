@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNewIDShapeAndUniqueness(t *testing.T) {
@@ -136,6 +137,27 @@ func TestRecorderEvictsOldest(t *testing.T) {
 	}
 }
 
+// TestRecorderPut: a complete timeline stored with Put reads back as
+// given (not aliased to the caller's spans) and shares Begin's eviction
+// order.
+func TestRecorderPut(t *testing.T) {
+	r := NewRecorder(2)
+	start := time.Now()
+	spans := []Span{{Name: "gateway.submit", StartNanos: 0, EndNanos: 500, Detail: "backend=b1"}}
+	r.Put(Timeline{TraceID: "t1", JobID: 1, Start: start, Spans: spans})
+	spans[0].Name = "mutated"
+	tl, ok := r.Get(1)
+	if !ok || tl.TraceID != "t1" || !tl.Start.Equal(start) || len(tl.Spans) != 1 ||
+		tl.Spans[0] != (Span{Name: "gateway.submit", EndNanos: 500, Detail: "backend=b1"}) {
+		t.Fatalf("Put/Get = %+v, %v", tl, ok)
+	}
+	r.Begin(2, "t2")
+	r.Put(Timeline{JobID: 3})
+	if _, ok := r.Get(1); ok || r.Len() != 2 {
+		t.Fatalf("Put did not evict the oldest: len=%d", r.Len())
+	}
+}
+
 func TestRecorderUnknownJobNoops(t *testing.T) {
 	r := NewRecorder(2)
 	// None of these may panic or create state.
@@ -181,6 +203,7 @@ func TestRecorderConcurrent(t *testing.T) {
 				r.Next(id, "queued", "")
 				r.Finish(id, "done", "")
 				r.Get(id)
+				r.Put(Timeline{JobID: id + 500, Spans: []Span{{Name: "gateway.submit"}}})
 			}
 		}(w)
 	}
