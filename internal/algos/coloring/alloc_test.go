@@ -46,3 +46,22 @@ func TestHotLoopsZeroAllocs(t *testing.T) {
 		t.Fatalf("Process allocated %.1f times per full scan, want 0", avg)
 	}
 }
+
+// TestSequentialAllocsIndependentOfN asserts the oracle allocates a fixed
+// number of times per run, not once per vertex: the count is the same on a
+// graph ten times larger.
+func TestSequentialAllocsIndependentOfN(t *testing.T) {
+	allocs := func(n int) float64 {
+		r := rng.New(7)
+		g, err := graph.GNM(n, int64(5*n), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels := core.RandomLabels(n, r)
+		return testing.AllocsPerRun(5, func() { _ = Sequential(g, labels) })
+	}
+	small, large := allocs(2_000), allocs(20_000)
+	if small != large {
+		t.Fatalf("Sequential allocated %.1f times at n=2000 and %.1f at n=20000, want equal", small, large)
+	}
+}

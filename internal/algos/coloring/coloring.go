@@ -7,6 +7,12 @@
 // with edges oriented by the priority permutation, so by Theorem 1 a
 // k-relaxed scheduler executes it with only O(m/n)·poly(k) extra iterations —
 // negligible on sparse graphs.
+//
+// Sequential is the exact greedy baseline: every relaxed or concurrent run
+// must reproduce its output, and the repository benchmark divides the
+// one-worker executor's time by its time. It shares no code with Process,
+// so the two check each other, and it does no per-vertex allocation, so
+// that ratio measures the executor rather than the oracle's bookkeeping.
 package coloring
 
 import (
@@ -111,22 +117,29 @@ func (inst *Instance) Colors() []int32 {
 }
 
 // Sequential computes the greedy coloring directly, without the framework.
+// It is the oracle Process is checked against, so it keeps its own loop:
+// a vertex of degree d gets a color of at most d, so one table of
+// MaxDegree()+1 slots covers every vertex. Slot c holds v+1 while v is
+// being colored if a neighbor of v has color c; the stamp is unique per
+// vertex, so the table is never cleared and the whole run allocates a
+// constant number of times.
 func Sequential(g *graph.Graph, labels []uint32) []int32 {
 	n := g.NumVertices()
 	colors := make([]int32, n)
 	for i := range colors {
 		colors[i] = NoColor
 	}
+	taken := make([]int32, g.MaxDegree()+1)
 	for _, task := range core.TasksByLabel(labels) {
 		v := int(task)
-		used := make(map[int32]bool, g.Degree(v))
+		stamp := int32(v + 1)
 		for _, u := range g.Neighbors(v) {
-			if colors[u] >= 0 {
-				used[colors[u]] = true
+			if c := colors[u]; c >= 0 {
+				taken[c] = stamp
 			}
 		}
 		var c int32
-		for used[c] {
+		for taken[c] == stamp {
 			c++
 		}
 		colors[v] = c

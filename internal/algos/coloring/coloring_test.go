@@ -80,6 +80,43 @@ func TestGreedyUsesAtMostMaxDegreePlusOneColors(t *testing.T) {
 	}
 }
 
+// TestSequentialMatchesFrameworkRun checks the standalone oracle against
+// the framework's sequential executor driving Process, on inputs that
+// stress each side's color table: a random graph, a star (one vertex sees
+// every other), an edgeless graph (every color is 0) and K_300, whose 300
+// colors overflow Process's 128-slot stack scratch and fill Sequential's
+// MaxDegree()+1 table to the last slot.
+func TestSequentialMatchesFrameworkRun(t *testing.T) {
+	r := rng.New(13)
+	gnm, err := graph.GNM(2000, 12000, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := map[string]*graph.Graph{
+		"gnm":          gnm,
+		"star":         graph.Star(500),
+		"edgeless":     graph.FromEdges(50, nil),
+		"complete-300": graph.Complete(300),
+	}
+	for name, g := range inputs {
+		t.Run(name, func(t *testing.T) {
+			labels := core.RandomLabels(g.NumVertices(), rng.New(17))
+			res, err := core.RunSequential(New(g), labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := res.Instance.(*Instance).Colors()
+			got := Sequential(g, labels)
+			if !Equal(got, want) {
+				t.Fatalf("Sequential differs from core.RunSequential over Process")
+			}
+			if err := Verify(g, got); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestVerifyCatchesViolations(t *testing.T) {
 	g := graph.Path(3)
 	cases := []struct {
@@ -196,6 +233,26 @@ func TestDeterminismProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sequentialSink keeps BenchmarkSequentialColoring's result live.
+var sequentialSink []int32
+
+// BenchmarkSequentialColoring measures the oracle every coloring run is
+// checked against, on the 100k-vertex, 1M-edge G(n,p) input.
+func BenchmarkSequentialColoring(b *testing.B) {
+	const n = 100_000
+	p := float64(2*1_000_000) / (float64(n) * float64(n-1))
+	g, err := graph.ParallelGNP(n, p, 4, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	labels := core.RandomLabels(n, rng.New(2))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sequentialSink = Sequential(g, labels)
 	}
 }
 

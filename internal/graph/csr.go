@@ -20,6 +20,13 @@ import (
 // into the flat adjacency array, and (4) a per-vertex sort + dedup, with a
 // compaction pass only when duplicates were actually present.
 func FromEdgeParts(n int, parts [][]Edge) (*Graph, error) {
+	return fromEdgeParts(n, parts, nil)
+}
+
+// fromEdgeParts is FromEdgeParts building into a caller-reserved adjacency
+// array: adj is used when its capacity covers the build, and a fresh array
+// is allocated otherwise.
+func fromEdgeParts(n int, parts [][]Edge, adj []int32) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
@@ -33,12 +40,13 @@ func FromEdgeParts(n int, parts [][]Edge) (*Graph, error) {
 	if 2*total > MaxAdjEntries {
 		return nil, ErrTooManyEdges
 	}
-	return buildCSR(n, parts), nil
+	return buildCSR(n, parts, adj), nil
 }
 
 // buildCSR is the shared CSR construction core behind FromEdges and
-// FromEdgeParts. Inputs must already satisfy the size limits.
-func buildCSR(n int, parts [][]Edge) *Graph {
+// FromEdgeParts. Inputs must already satisfy the size limits. adj, if its
+// capacity suffices, becomes the flat adjacency array; pass nil to allocate.
+func buildCSR(n int, parts [][]Edge, adj []int32) *Graph {
 	chunks := splitEdgeChunks(parts, csrChunkCount(n, parts))
 	nc := len(chunks)
 
@@ -76,7 +84,11 @@ func buildCSR(n int, parts [][]Edge) *Graph {
 
 	// Pass 2: scatter both endpoints of every edge; chunks write disjoint
 	// per-vertex regions, so this is race-free without synchronization.
-	adj := make([]int32, run)
+	if uint64(cap(adj)) >= run {
+		adj = adj[:run]
+	} else {
+		adj = make([]int32, run)
+	}
 	parallelDo(nc, func(c int) {
 		cur := counts[c]
 		for _, span := range chunks[c] {

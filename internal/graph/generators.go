@@ -46,6 +46,13 @@ func ParallelGNP(n int, p float64, workers int, r *rng.Rand) (*Graph, error) {
 	if workers <= 1 {
 		return GNP(n, p, r)
 	}
+	// The flat adjacency array is reserved before the edge shards, sized
+	// from the same bound. The builder would otherwise allocate it after the
+	// shards, as the build's largest allocation at the moment they are live;
+	// in a process that builds graphs repeatedly, that placement grew the
+	// heap by one more adjacency array in most runs (EXPERIMENTS.md, "Set-up
+	// at memory speed").
+	adj := make([]int32, 0, 2*gnpEdgeBound(n, p, 0, n))
 	parts := make([][]Edge, workers)
 	rands := make([]*rng.Rand, workers)
 	for i := range rands {
@@ -69,16 +76,18 @@ func ParallelGNP(n int, p float64, workers int, r *rng.Rand) (*Graph, error) {
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	return FromEdgeParts(n, parts)
+	return fromEdgeParts(n, parts, adj)
 }
 
 // gnpEdgeRange samples G(n,p) edges (u, v) with u in [lo, hi) and v > u using
-// geometric skips over the upper-triangular pair sequence.
+// geometric skips over the upper-triangular pair sequence. The edge slice is
+// reserved once up front, so each edge is written once instead of being
+// copied on every regrowth.
 func gnpEdgeRange(n int, p float64, lo, hi int, r *rng.Rand) []Edge {
 	if p == 0 || n < 2 {
 		return nil
 	}
-	var edges []Edge
+	edges := make([]Edge, 0, gnpEdgeBound(n, p, lo, hi))
 	if p == 1 {
 		for u := lo; u < hi; u++ {
 			for v := u + 1; v < n; v++ {
@@ -103,6 +112,23 @@ func gnpEdgeRange(n int, p float64, lo, hi int, r *rng.Rand) []Edge {
 		}
 	}
 	return edges
+}
+
+// gnpEdgeBound is the number of edges to reserve for the part of G(n,p)
+// with sources [lo, hi): that count is binomial over the part's vertex
+// pairs, and the bound is its mean plus four standard deviations, so the
+// part almost never outgrows it (p = 1 gives the exact count). It is capped
+// at the most edges a graph can hold: an over-limit input still grows past
+// the cap and fails the build with ErrTooManyEdges, rather than asking make
+// for an impossible capacity.
+func gnpEdgeBound(n int, p float64, lo, hi int) int {
+	rows := float64(hi - lo)
+	pairs := rows*float64(n-1) - rows*float64(lo+hi-1)/2
+	want := math.Ceil(p*pairs + 4*math.Sqrt(p*(1-p)*pairs))
+	if want > MaxAdjEntries/2 {
+		want = MaxAdjEntries / 2
+	}
+	return int(want)
 }
 
 // GNM generates a uniform random graph with exactly n vertices and m distinct

@@ -224,7 +224,7 @@ func FromEdges(n int, edges []Edge) *Graph {
 	if 2*int64(len(edges)) > MaxAdjEntries {
 		panic(ErrTooManyEdges)
 	}
-	return buildCSR(n, [][]Edge{edges})
+	return buildCSR(n, [][]Edge{edges}, nil)
 }
 
 // Subgraph returns the subgraph induced by keep (a vertex predicate), with

@@ -38,6 +38,10 @@
 #     pure hot-loop cost, adapter included)
 #   - concurrent SSSP, the dynamic contract (1 worker)
 #   - concurrent PageRank residual pushes (1 worker)
+#   - the set-up path the benchmark's exec workloads repeat: parallel G(n,p)
+#     generation plus CSR build on 100k vertices / 1M edges
+#     (BenchmarkParallelGNP) and the sequential greedy-coloring oracle on
+#     that input (BenchmarkSequentialColoring)
 # One-worker macro variants are pinned because CI containers have one CPU;
 # see EXPERIMENTS.md "Profiling methodology". The gate compares per-benchmark
 # MEDIANS, not means — shared CI boxes throw occasional 2x outlier samples
@@ -87,6 +91,10 @@ run_benches() {
             -bench 'BenchmarkConcurrentSSSP/workers=1$' ./internal/algos/sssp/
         [ -d internal/algos/pagerank ] && go test -run '^$' -benchtime 1x -count "$MACRO_COUNT" \
             -bench 'BenchmarkConcurrentPageRank/workers=1$' ./internal/algos/pagerank/
+        go test -run '^$' -benchmem -count "$COUNT" \
+            -bench 'BenchmarkParallelGNP$' ./internal/graph/
+        go test -run '^$' -benchmem -count "$COUNT" \
+            -bench 'BenchmarkSequentialColoring$' ./internal/algos/coloring/
     ) | tee "$out.raw" | grep -E '^Benchmark' >"$out" || true
 }
 
