@@ -31,7 +31,8 @@ race:
 		./internal/gateway/... ./cmd/relaxgw/... \
 		./internal/integration/...
 
-# Repository-level benchmarks (one per table/figure of the paper).
+# Repository-level benchmarks: the theorem validation sweeps and the
+# ablations (Table 1 and Figure 2 come from relaxsim and relaxbench).
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
@@ -170,15 +171,16 @@ lint: vet
 		echo "staticcheck not installed; skipping (CI runs it)"; \
 	fi
 
-# Documentation build check: go vet plus rendering every package's godoc
-# (including the runnable Example functions, which `go test` executes and
-# diff-checks against their Output comments), plus a dead-link check over
-# every tracked markdown file.
+# Documentation build check: go vet plus rendering every package's godoc,
+# running every Example function in the module (`go test` executes each and
+# diff-checks it against its Output comment), plus a check that every
+# relative link and every backticked repository path in the tracked
+# markdown exists.
 doc: vet
 	@for pkg in $$($(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./...); do \
 		$(GO) doc -all $$pkg >/dev/null || exit 1; \
 	done
-	$(GO) test -run '^Example' ./internal/core/ ./internal/workload/ ./internal/control/
+	$(GO) test -run '^Example' ./...
 	./scripts/check-md-links.sh
 
 check: fmt-check lint doc build test race bench-module-check

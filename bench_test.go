@@ -1,13 +1,10 @@
-// Repository-level benchmarks: one benchmark per table and figure of the
-// paper's evaluation, plus the ablation benchmarks called out in DESIGN.md.
-//
-// The table/figure benchmarks use scaled-down inputs so that
-// `go test -bench=. -benchmem` finishes in minutes on a development machine;
-// the full-size reproductions are produced by cmd/relaxsim (-table1) and
-// cmd/relaxbench, whose outputs are recorded in EXPERIMENTS.md. Custom
-// benchmark metrics (extra-iterations, speedup) are reported with b.ReportMetric
-// so the "shape" results of the paper are visible directly in the benchmark
-// output.
+// Repository-level benchmarks for what neither CLI measures: the theorem
+// validation sweeps and the ablations of EXPERIMENTS.md's "Theorem
+// validations and ablations" section. Table 1 is regenerated by
+// cmd/relaxsim -table1 and Figure 2 by cmd/relaxbench; their outputs are
+// recorded in EXPERIMENTS.md. Extra iterations are reported as the custom
+// metric extra-iters with b.ReportMetric, so the shape results of the
+// paper are visible directly in the benchmark output.
 package relaxsched_test
 
 import (
@@ -16,134 +13,16 @@ import (
 	"testing"
 
 	"relaxsched/internal/algos/mis"
-	"relaxsched/internal/bench"
 	"relaxsched/internal/core"
 	"relaxsched/internal/graph"
 	"relaxsched/internal/rng"
 	"relaxsched/internal/sched"
-	"relaxsched/internal/sched/faaqueue"
 	"relaxsched/internal/sched/kbounded"
 	"relaxsched/internal/sched/multiqueue"
 	"relaxsched/internal/sched/spraylist"
 	"relaxsched/internal/sched/topk"
 	"relaxsched/internal/sim"
 )
-
-// ---------------------------------------------------------------------------
-// Table 1: extra iterations of relaxed MIS as a function of k, |V|, |E|.
-// ---------------------------------------------------------------------------
-
-// BenchmarkTable1ExtraIterations regenerates the cells of Table 1 (at reduced
-// trial counts): for each (|V|, |E|, k) cell it runs the MultiQueue-model
-// relaxed MIS and reports the mean number of extra iterations as a custom
-// metric.
-func BenchmarkTable1ExtraIterations(b *testing.B) {
-	for _, size := range []sim.Size{
-		{Vertices: 1000, Edges: 10000},
-		{Vertices: 1000, Edges: 30000},
-		{Vertices: 1000, Edges: 100000},
-		{Vertices: 10000, Edges: 10000},
-		{Vertices: 10000, Edges: 30000},
-		{Vertices: 10000, Edges: 100000},
-	} {
-		for _, k := range []int{4, 8, 16, 32, 64} {
-			name := fmt.Sprintf("V=%d/E=%d/k=%d", size.Vertices, size.Edges, k)
-			b.Run(name, func(b *testing.B) {
-				total := 0.0
-				for i := 0; i < b.N; i++ {
-					cell, err := sim.RunCell(sim.Config{
-						Algorithm: "mis",
-						Scheduler: sim.SchedMultiQueue,
-						Vertices:  size.Vertices,
-						Edges:     size.Edges,
-						K:         k,
-						Trials:    1,
-						Seed:      uint64(i + 1),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					total += cell.ExtraIterations.Mean
-				}
-				b.ReportMetric(total/float64(b.N), "extra-iters")
-			})
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figure 2: concurrent MIS runtime, relaxed vs exact vs sequential, per class.
-// ---------------------------------------------------------------------------
-
-// figure2Benchmark runs one scaled-down Figure 2 panel cell: MIS on a G(n,p)
-// graph of the given class with the given scheduler and thread count.
-func figure2Benchmark(b *testing.B, class bench.Class, scheduler string, threads int) {
-	b.Helper()
-	r := rng.New(0xf16)
-	p := float64(2*class.Edges) / (float64(class.Vertices) * float64(class.Vertices-1))
-	g, err := graph.ParallelGNP(class.Vertices, p, runtime.GOMAXPROCS(0), r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	labels := core.RandomLabels(g.NumVertices(), r)
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		switch scheduler {
-		case "sequential":
-			set := mis.Sequential(g, labels)
-			if len(set) != g.NumVertices() {
-				b.Fatal("bad sequential result")
-			}
-		case bench.SchedulerRelaxed:
-			mq := multiqueue.NewConcurrent(multiqueue.DefaultQueueFactor*threads, g.NumVertices(), uint64(i))
-			if _, _, err := mis.RunConcurrent(g, labels, mq, core.Reinsert, core.Options{Workers: threads}); err != nil {
-				b.Fatal(err)
-			}
-		case bench.SchedulerExact:
-			q := faaqueue.New(g.NumVertices())
-			if _, _, err := mis.RunConcurrent(g, labels, q, core.Wait, core.Options{Workers: threads}); err != nil {
-				b.Fatal(err)
-			}
-		default:
-			b.Fatalf("unknown scheduler %q", scheduler)
-		}
-	}
-}
-
-// benchClasses are scaled-down versions of the paper's three graph classes,
-// small enough for go test -bench to iterate.
-var benchClasses = []bench.Class{
-	{Name: "Sparse", Vertices: 50_000, Edges: 500_000},
-	{Name: "SmallDense", Vertices: 5_000, Edges: 500_000},
-	{Name: "LargeDense", Vertices: 15_000, Edges: 1_500_000},
-}
-
-func figure2ThreadCounts() []int {
-	threads := []int{1}
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		threads = append(threads, p)
-	}
-	return threads
-}
-
-func BenchmarkFigure2Sparse(b *testing.B)     { runFigure2Class(b, benchClasses[0]) }
-func BenchmarkFigure2SmallDense(b *testing.B) { runFigure2Class(b, benchClasses[1]) }
-func BenchmarkFigure2LargeDense(b *testing.B) { runFigure2Class(b, benchClasses[2]) }
-
-func runFigure2Class(b *testing.B, class bench.Class) {
-	b.Run("sequential", func(b *testing.B) {
-		figure2Benchmark(b, class, "sequential", 1)
-	})
-	for _, threads := range figure2ThreadCounts() {
-		b.Run(fmt.Sprintf("relaxed/threads=%d", threads), func(b *testing.B) {
-			figure2Benchmark(b, class, bench.SchedulerRelaxed, threads)
-		})
-		b.Run(fmt.Sprintf("exact/threads=%d", threads), func(b *testing.B) {
-			figure2Benchmark(b, class, bench.SchedulerExact, threads)
-		})
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Theorem validation sweeps (Section 3, not numbered tables in the paper).
@@ -203,7 +82,7 @@ func BenchmarkTheorem2Independence(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md section 6).
+// Ablations (EXPERIMENTS.md, "Theorem validations and ablations").
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationDeadShortcut compares Algorithm 4 (MIS with the

@@ -41,6 +41,9 @@
 // EXPERIMENTS.md for the measurement methodology.
 //
 // The root package contains no code; it exists to carry this documentation
-// and the repository-level benchmarks in bench_test.go, which regenerate
-// every table and figure of the paper's evaluation.
+// and the repository-level benchmarks in bench_test.go: the theorem
+// validation sweeps and the ablations. The paper's Table 1 and Figure 2 are
+// regenerated by cmd/relaxsim and cmd/relaxbench. Every algorithm package
+// under internal/algos but shuffle carries a runnable Example of its usage
+// that checks its relaxed executions against the sequential oracle.
 package relaxsched

@@ -295,31 +295,3 @@ func RMAT(scale int, edgeFactor int, a, b, c float64, r *rng.Rand) (*Graph, erro
 	}
 	return FromEdges(n, edges), nil
 }
-
-// RandomBipartite returns a random bipartite graph with left and right
-// vertices and approximately the requested number of edges; vertex ids
-// [0,left) are the left side and [left, left+right) the right side.
-func RandomBipartite(left, right int, edges int64, r *rng.Rand) (*Graph, error) {
-	if left < 0 || right < 0 {
-		return nil, fmt.Errorf("graph: negative side size")
-	}
-	maxEdges := int64(left) * int64(right)
-	if edges < 0 || edges > maxEdges {
-		return nil, fmt.Errorf("graph: cannot place %d edges in a %dx%d bipartite graph", edges, left, right)
-	}
-	if 2*edges > MaxAdjEntries {
-		return nil, ErrTooManyEdges
-	}
-	chosen := make(map[uint64]bool, edges)
-	for int64(len(chosen)) < edges {
-		u := r.Intn(left)
-		v := left + r.Intn(right)
-		chosen[pairKey(u, v)] = true
-	}
-	list := make([]Edge, 0, edges)
-	for key := range chosen {
-		u, v := pairFromKey(key)
-		list = append(list, Edge{U: int32(u), V: int32(v)})
-	}
-	return FromEdges(left+right, list), nil
-}

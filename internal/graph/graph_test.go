@@ -322,31 +322,6 @@ func TestRMAT(t *testing.T) {
 	}
 }
 
-func TestRandomBipartite(t *testing.T) {
-	r := rng.New(6)
-	g, err := RandomBipartite(20, 30, 100, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 50 || g.NumEdges() != 100 {
-		t.Fatalf("bipartite n=%d m=%d", g.NumVertices(), g.NumEdges())
-	}
-	// No edge may connect two left or two right vertices.
-	for v := 0; v < 20; v++ {
-		for _, u := range g.Neighbors(v) {
-			if u < 20 {
-				t.Fatalf("left-left edge (%d,%d)", v, u)
-			}
-		}
-	}
-	if _, err := RandomBipartite(2, 2, 5, r); err == nil {
-		t.Fatal("too many bipartite edges did not error")
-	}
-	if _, err := RandomBipartite(-1, 2, 0, r); err == nil {
-		t.Fatal("negative side did not error")
-	}
-}
-
 func TestGeneratedGraphsAlwaysValid(t *testing.T) {
 	// Property: every generator output passes Validate for random parameters.
 	check := func(seed uint64) bool {
