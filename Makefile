@@ -17,12 +17,14 @@ bench-module-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Race-enabled tests on the packages with real concurrency: the engine, every
-# scheduler family, every algorithm (one loop serves both contracts), the
-# workload registry, the job service (worker pool, graph cache, drain) and
-# its daemon, the trace/metrics observability layer, and the end-to-end
-# integration matrix.
+# scheduler family, the graph builders (the CSR build and Orient fan out
+# goroutines that write disjoint slots), every algorithm (one loop serves
+# both contracts), the workload registry, the job service (worker pool,
+# graph cache, drain) and its daemon, the trace/metrics observability
+# layer, and the end-to-end integration matrix.
 race:
 	$(GO) test -race ./internal/core/... ./internal/sched/... \
+		./internal/graph/... \
 		./internal/algos/... ./internal/workload/... \
 		./internal/api/... ./internal/ranktrack/... \
 		./internal/control/... ./internal/wal/... \

@@ -8,19 +8,9 @@ import (
 	"relaxsched/internal/rng"
 )
 
-// plainState is a minimal core.State for allocation tests.
-type plainState struct {
-	labels    []uint32
-	processed []bool
-}
-
-func (s *plainState) NumTasks() int        { return len(s.labels) }
-func (s *plainState) Processed(v int) bool { return s.processed[v] }
-func (s *plainState) Label(v int) uint32   { return s.labels[v] }
-
-// TestHotLoopsZeroAllocs asserts the coloring hot loops scan the CSR
-// adjacency without allocating: Blocked always, and Process as long as the
-// neighbor colors fit its on-stack scratch (true on bounded-degree inputs).
+// TestHotLoopsZeroAllocs asserts the coloring hot loops scan the oriented
+// graph without allocating: Blocked always, and Process as long as the
+// predecessor colors fit its on-stack scratch (true on bounded-degree inputs).
 func TestHotLoopsZeroAllocs(t *testing.T) {
 	r := rng.New(7)
 	g, err := graph.GNM(2000, 20000, r)
@@ -28,28 +18,33 @@ func TestHotLoopsZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.NumVertices()
-	st := &plainState{labels: core.RandomLabels(n, r), processed: make([]bool, n)}
-	inst := New(g).NewInstance(st).(*Instance)
-
-	if avg := testing.AllocsPerRun(20, func() {
-		for v := 0; v < n; v++ {
-			_ = inst.Blocked(v)
-		}
-	}); avg != 0 {
-		t.Fatalf("Blocked allocated %.1f times per full scan, want 0", avg)
+	p, err := New(g, core.RandomLabels(n, r))
+	if err != nil {
+		t.Fatal(err)
 	}
+	inst := p.NewInstance(nil).(*Instance)
+
+	// Process in task order first, so every predecessor Blocked and Process
+	// read below is colored.
 	if avg := testing.AllocsPerRun(20, func() {
-		for v := 0; v < n; v++ {
-			inst.Process(v)
+		for i := 0; i < n; i++ {
+			inst.Process(i)
 		}
 	}); avg != 0 {
 		t.Fatalf("Process allocated %.1f times per full scan, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		for i := 0; i < n; i++ {
+			_ = inst.Blocked(i)
+		}
+	}); avg != 0 {
+		t.Fatalf("Blocked allocated %.1f times per full scan, want 0", avg)
 	}
 }
 
 // TestSequentialAllocsIndependentOfN asserts the oracle allocates a fixed
 // number of times per run, not once per vertex: the count is the same on a
-// graph ten times larger.
+// graph ten times larger. The orientation is bound once, outside the run.
 func TestSequentialAllocsIndependentOfN(t *testing.T) {
 	allocs := func(n int) float64 {
 		r := rng.New(7)
@@ -57,8 +52,11 @@ func TestSequentialAllocsIndependentOfN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		labels := core.RandomLabels(n, r)
-		return testing.AllocsPerRun(5, func() { _ = Sequential(g, labels) })
+		p, err := New(g, core.RandomLabels(n, r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() { _ = p.Sequential() })
 	}
 	small, large := allocs(2_000), allocs(20_000)
 	if small != large {

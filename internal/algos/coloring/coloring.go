@@ -8,15 +8,22 @@
 // k-relaxed scheduler executes it with only O(m/n)·poly(k) extra iterations —
 // negligible on sparse graphs.
 //
-// Sequential is the exact greedy baseline: every relaxed or concurrent run
-// must reproduce its output, and the repository benchmark divides the
-// one-worker executor's time by its time. It shares no code with Process,
-// so the two check each other, and it does no per-vertex allocation, so
-// that ratio measures the executor rather than the oracle's bookkeeping.
+// New builds that dependency graph once (graph.Orient) and the Problem runs
+// on it: task i is the vertex of priority i, Blocked and Process scan only
+// its predecessors, and neither reads a label. Consecutive tasks touch
+// consecutive rows and recently written colors, which is what makes a run
+// cheap; the executors are therefore driven with the identity permutation.
+//
+// (*Problem).Sequential is the exact greedy baseline: every relaxed or
+// concurrent run must reproduce its output, and the repository benchmark
+// divides the one-worker executor's time by its time. Verify checks any
+// coloring against the greedy rule on the original graph, without the
+// oriented one, so it certifies the output independently of both.
 package coloring
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"relaxsched/internal/core"
 	"relaxsched/internal/graph"
@@ -26,48 +33,56 @@ import (
 // NoColor is the color value of a vertex that has not been processed yet.
 const NoColor = int32(-1)
 
-// Problem is the greedy coloring problem on a graph. It implements
-// core.Problem.
+// Problem is the greedy coloring problem on a graph oriented by a priority
+// permutation. It implements core.Problem with one task per priority: task i
+// is the vertex whose label is i, so executors must be run with
+// core.IdentityLabels.
 type Problem struct {
-	g *graph.Graph
+	dag    *graph.DAG
+	labels []uint32
 }
 
 var _ core.Problem = (*Problem)(nil)
 
-// New returns the greedy coloring problem for g.
-func New(g *graph.Graph) *Problem { return &Problem{g: g} }
+// New returns the greedy coloring problem for g under the priority
+// permutation labels. A labels slice that is not a permutation of the
+// vertices is rejected with core.ErrBadPermutation. The problem keeps labels
+// to map colors back to vertices, so the caller must not modify it.
+func New(g *graph.Graph, labels []uint32) (*Problem, error) {
+	if err := core.ValidateLabels(g.NumVertices(), labels); err != nil {
+		return nil, err
+	}
+	return &Problem{dag: graph.Orient(g, labels), labels: labels}, nil
+}
 
 // NumTasks returns the number of vertices.
-func (p *Problem) NumTasks() int { return p.g.NumVertices() }
+func (p *Problem) NumTasks() int { return p.dag.NumVertices() }
 
-// NewInstance binds the problem to an execution.
-func (p *Problem) NewInstance(st core.State) core.Instance {
-	colors := make([]int32, p.g.NumVertices())
+// NewInstance binds the problem to an execution. The instance does not
+// query st: a task's color doubles as its processed mark.
+func (p *Problem) NewInstance(core.State) core.Instance {
+	colors := make([]int32, p.NumTasks())
 	for i := range colors {
 		colors[i] = NoColor
 	}
-	return &Instance{g: p.g, st: st, labels: core.LabelsOf(st), colors: colors}
+	return &Instance{p: p, colors: colors}
 }
 
-// Instance is a bound coloring execution. Concurrent workers only ever read
-// the color of a processed neighbor, and the framework's processed bit
-// provides the necessary happens-before edge, so plain (non-atomic) color
-// storage is safe. The priority labels are held as a flat slice so the hot
-// loops read them without an interface dispatch per neighbor.
+// Instance is a bound coloring execution, indexed by task (priority). A
+// task's color is written once, atomically, at the end of its Process; a
+// task that loads a predecessor's color other than NoColor therefore sees a
+// finished predecessor, so Blocked needs no other processed mark.
 type Instance struct {
-	g      *graph.Graph
-	st     core.State
-	labels []uint32
+	p      *Problem
 	colors []int32
 }
 
 var _ core.Instance = (*Instance)(nil)
 
-// Blocked reports whether v still has an uncolored higher-priority neighbor.
-func (inst *Instance) Blocked(v int) bool {
-	lv := inst.labels[v]
-	for _, u := range inst.g.Neighbors(v) {
-		if inst.labels[u] < lv && !inst.st.Processed(int(u)) {
+// Blocked reports whether task i still has an uncolored predecessor.
+func (inst *Instance) Blocked(i int) bool {
+	for _, u := range inst.p.dag.Preds(i) {
+		if atomic.LoadInt32(&inst.colors[u]) == NoColor {
 			return true
 		}
 	}
@@ -77,22 +92,16 @@ func (inst *Instance) Blocked(v int) bool {
 // Dead always reports false; every vertex must be colored.
 func (inst *Instance) Dead(int) bool { return false }
 
-// Process assigns v the smallest color unused among its higher-priority
-// neighbors. The used-color scratch lives on the stack for vertices whose
-// neighbors use fewer than 128 colors, so the hot loop over the CSR
-// adjacency does not allocate on bounded-degree graphs.
-func (inst *Instance) Process(v int) {
-	lv := inst.labels[v]
+// Process assigns task i the smallest color unused among its predecessors,
+// which are all colored: the framework calls it only once Blocked(i) is
+// false. The used-color scratch lives on the stack while the predecessors use
+// fewer than 128 colors, so the loop does not allocate on bounded-degree
+// graphs.
+func (inst *Instance) Process(i int) {
 	var scratch [128]bool
 	used := scratch[:0]
-	for _, u := range inst.g.Neighbors(v) {
-		if inst.labels[u] >= lv {
-			continue
-		}
-		c := inst.colors[u]
-		if c < 0 {
-			continue
-		}
+	for _, u := range inst.p.dag.Preds(i) {
+		c := atomic.LoadInt32(&inst.colors[u])
 		for int(c) >= len(used) {
 			used = append(used, false)
 		}
@@ -105,52 +114,64 @@ func (inst *Instance) Process(v int) {
 			break
 		}
 	}
-	inst.colors[v] = color
+	atomic.StoreInt32(&inst.colors[i], color)
 }
 
-// Colors returns the computed coloring. It must only be called after the
-// execution has finished.
-func (inst *Instance) Colors() []int32 {
-	out := make([]int32, len(inst.colors))
-	copy(out, inst.colors)
+// Colors returns the computed coloring in vertex order. It must only be
+// called after the execution has finished.
+func (inst *Instance) Colors() []int32 { return inst.p.byVertex(inst.colors) }
+
+// byVertex maps colors indexed by priority back to vertex order.
+func (p *Problem) byVertex(colors []int32) []int32 {
+	out := make([]int32, len(colors))
+	for v, l := range p.labels {
+		out[v] = colors[l]
+	}
 	return out
 }
 
-// Sequential computes the greedy coloring directly, without the framework.
-// It is the oracle Process is checked against, so it keeps its own loop:
-// a vertex of degree d gets a color of at most d, so one table of
-// MaxDegree()+1 slots covers every vertex. Slot c holds v+1 while v is
-// being colored if a neighbor of v has color c; the stamp is unique per
-// vertex, so the table is never cleared and the whole run allocates a
-// constant number of times.
-func Sequential(g *graph.Graph, labels []uint32) []int32 {
-	n := g.NumVertices()
-	colors := make([]int32, n)
+// Sequential computes the greedy coloring directly, without the framework,
+// walking the oriented graph in priority order. A vertex with d
+// predecessors gets a color of at most d, so one table of MaxInDegree()+1
+// slots covers every vertex. Slot c holds i+1 while task i is being colored
+// if a predecessor has color c; the stamp is unique per task, so the table
+// is never cleared and the whole run allocates a constant number of times.
+func (p *Problem) Sequential() []int32 {
+	colors := make([]int32, p.NumTasks())
+	taken := make([]int32, p.dag.MaxInDegree()+1)
 	for i := range colors {
-		colors[i] = NoColor
-	}
-	taken := make([]int32, g.MaxDegree()+1)
-	for _, task := range core.TasksByLabel(labels) {
-		v := int(task)
-		stamp := int32(v + 1)
-		for _, u := range g.Neighbors(v) {
-			if c := colors[u]; c >= 0 {
-				taken[c] = stamp
-			}
+		stamp := int32(i + 1)
+		for _, u := range p.dag.Preds(i) {
+			taken[colors[u]] = stamp
 		}
 		var c int32
 		for taken[c] == stamp {
 			c++
 		}
-		colors[v] = c
+		colors[i] = c
 	}
-	return colors
+	return p.byVertex(colors)
+}
+
+// Sequential computes the greedy coloring of g under labels: New followed
+// by (*Problem).Sequential, orientation included. It panics if labels is
+// not a permutation of g's vertices.
+func Sequential(g *graph.Graph, labels []uint32) []int32 {
+	p, err := New(g, labels)
+	if err != nil {
+		panic(err)
+	}
+	return p.Sequential()
 }
 
 // RunRelaxed executes greedy coloring with a sequential-model scheduler and
 // returns the coloring along with the execution counters.
 func RunRelaxed(g *graph.Graph, labels []uint32, s sched.Scheduler) ([]int32, core.Result, error) {
-	res, err := core.RunRelaxed(New(g), labels, s)
+	p, err := New(g, labels)
+	if err != nil {
+		return nil, core.Result{}, fmt.Errorf("coloring: relaxed execution: %w", err)
+	}
+	res, err := core.RunRelaxed(p, core.IdentityLabels(p.NumTasks()), s)
 	if err != nil {
 		return nil, core.Result{}, fmt.Errorf("coloring: relaxed execution: %w", err)
 	}
@@ -160,7 +181,11 @@ func RunRelaxed(g *graph.Graph, labels []uint32, s sched.Scheduler) ([]int32, co
 // RunConcurrent executes greedy coloring with worker goroutines sharing a
 // concurrent scheduler.
 func RunConcurrent(g *graph.Graph, labels []uint32, s sched.Concurrent, policy core.Policy, opts core.Options) ([]int32, core.Result, error) {
-	res, err := core.RunConcurrent(New(g), labels, s, policy, opts)
+	p, err := New(g, labels)
+	if err != nil {
+		return nil, core.Result{}, fmt.Errorf("coloring: concurrent execution: %w", err)
+	}
+	res, err := core.RunConcurrent(p, core.IdentityLabels(p.NumTasks()), s, policy, opts)
 	if err != nil {
 		return nil, core.Result{}, fmt.Errorf("coloring: concurrent execution: %w", err)
 	}
@@ -179,21 +204,46 @@ func NumColors(colors []int32) int {
 	return int(maxColor + 1)
 }
 
-// Verify checks that colors is a proper coloring of g: every vertex has a
-// non-negative color and no edge connects two vertices of the same color.
-func Verify(g *graph.Graph, colors []int32) error {
+// Verify checks that colors is the greedy coloring of g under labels: every
+// vertex v has a color, and it is the smallest one no neighbor of lower
+// label has, c(v) = mex{c(u) : u ~ v, labels[u] < labels[v]}. By induction
+// over the labels only the sequential algorithm's output passes, so this
+// certifies exactness, and properness with it. It reads g itself, not the
+// oriented graph the Problem runs on, in O(n + m) time.
+func Verify(g *graph.Graph, labels []uint32, colors []int32) error {
 	n := g.NumVertices()
 	if len(colors) != n {
 		return fmt.Errorf("coloring: %d colors for %d vertices", len(colors), n)
 	}
+	if err := core.ValidateLabels(n, labels); err != nil {
+		return fmt.Errorf("coloring: %w", err)
+	}
+	// A vertex's mex is at most its degree; slots are stamped as in
+	// (*Problem).Sequential.
+	taken := make([]int32, g.MaxDegree()+1)
 	for v := 0; v < n; v++ {
-		if colors[v] < 0 {
+		c, lv, stamp := colors[v], labels[v], int32(v+1)
+		if c < 0 {
 			return fmt.Errorf("coloring: vertex %d is uncolored", v)
 		}
 		for _, u := range g.Neighbors(v) {
-			if colors[u] == colors[v] {
-				return fmt.Errorf("coloring: adjacent vertices %d and %d share color %d", v, u, colors[v])
+			if labels[u] > lv {
+				continue
 			}
+			cu := colors[u]
+			if cu == c {
+				return fmt.Errorf("coloring: adjacent vertices %d and %d share color %d", v, u, c)
+			}
+			if cu >= 0 && int(cu) < len(taken) {
+				taken[cu] = stamp
+			}
+		}
+		var mex int32
+		for taken[mex] == stamp {
+			mex++
+		}
+		if c != mex {
+			return fmt.Errorf("coloring: vertex %d has color %d, but the smallest color its higher-priority neighbors leave free is %d", v, c, mex)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -18,12 +19,13 @@ import (
 func TestSequentialOnPath(t *testing.T) {
 	// Path with identity labels: colors alternate 0,1,0,1,...
 	g := graph.Path(6)
-	colors := Sequential(g, core.IdentityLabels(6))
+	labels := core.IdentityLabels(6)
+	colors := Sequential(g, labels)
 	want := []int32{0, 1, 0, 1, 0, 1}
 	if !Equal(colors, want) {
 		t.Fatalf("got %v, want %v", colors, want)
 	}
-	if err := Verify(g, colors); err != nil {
+	if err := Verify(g, labels, colors); err != nil {
 		t.Fatal(err)
 	}
 	if NumColors(colors) != 2 {
@@ -36,7 +38,7 @@ func TestSequentialOnCompleteGraph(t *testing.T) {
 	r := rng.New(1)
 	labels := core.RandomLabels(7, r)
 	colors := Sequential(g, labels)
-	if err := Verify(g, colors); err != nil {
+	if err := Verify(g, labels, colors); err != nil {
 		t.Fatal(err)
 	}
 	if NumColors(colors) != 7 {
@@ -46,8 +48,9 @@ func TestSequentialOnCompleteGraph(t *testing.T) {
 
 func TestSequentialOnStarAndEdgeless(t *testing.T) {
 	star := graph.Star(9)
-	colors := Sequential(star, core.IdentityLabels(9))
-	if err := Verify(star, colors); err != nil {
+	labels := core.IdentityLabels(9)
+	colors := Sequential(star, labels)
+	if err := Verify(star, labels, colors); err != nil {
 		t.Fatal(err)
 	}
 	if NumColors(colors) != 2 {
@@ -72,7 +75,7 @@ func TestGreedyUsesAtMostMaxDegreePlusOneColors(t *testing.T) {
 	}
 	labels := core.RandomLabels(400, r)
 	colors := Sequential(g, labels)
-	if err := Verify(g, colors); err != nil {
+	if err := Verify(g, labels, colors); err != nil {
 		t.Fatal(err)
 	}
 	if NumColors(colors) > g.MaxDegree()+1 {
@@ -80,12 +83,39 @@ func TestGreedyUsesAtMostMaxDegreePlusOneColors(t *testing.T) {
 	}
 }
 
-// TestSequentialMatchesFrameworkRun checks the standalone oracle against
-// the framework's sequential executor driving Process, on inputs that
-// stress each side's color table: a random graph, a star (one vertex sees
-// every other), an edgeless graph (every color is 0) and K_300, whose 300
-// colors overflow Process's 128-slot stack scratch and fill Sequential's
-// MaxDegree()+1 table to the last slot.
+// referenceGreedy is the greedy coloring computed on g itself, in label
+// order, with no oriented graph: the independent reference the oracle and
+// Process are checked against. Slot c of its table holds v+1 while v is
+// being colored if a neighbor of v has color c.
+func referenceGreedy(g *graph.Graph, labels []uint32) []int32 {
+	colors := make([]int32, g.NumVertices())
+	for i := range colors {
+		colors[i] = NoColor
+	}
+	taken := make([]int32, g.MaxDegree()+1)
+	for _, task := range core.TasksByLabel(labels) {
+		v := int(task)
+		stamp := int32(v + 1)
+		for _, u := range g.Neighbors(v) {
+			if c := colors[u]; c >= 0 {
+				taken[c] = stamp
+			}
+		}
+		var c int32
+		for taken[c] == stamp {
+			c++
+		}
+		colors[v] = c
+	}
+	return colors
+}
+
+// TestSequentialMatchesFrameworkRun checks the oracle and the framework's
+// sequential executor driving Process against referenceGreedy, on inputs
+// that stress each side's color table: a random graph, a star (one vertex
+// sees every other), an edgeless graph (every color is 0) and K_300, whose
+// 300 colors overflow Process's 128-slot stack scratch and fill the
+// oracle's MaxInDegree()+1 table to the last slot.
 func TestSequentialMatchesFrameworkRun(t *testing.T) {
 	r := rng.New(13)
 	gnm, err := graph.GNM(2000, 12000, r)
@@ -101,16 +131,23 @@ func TestSequentialMatchesFrameworkRun(t *testing.T) {
 	for name, g := range inputs {
 		t.Run(name, func(t *testing.T) {
 			labels := core.RandomLabels(g.NumVertices(), rng.New(17))
-			res, err := core.RunSequential(New(g), labels)
+			want := referenceGreedy(g, labels)
+			p, err := New(g, labels)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := res.Instance.(*Instance).Colors()
-			got := Sequential(g, labels)
-			if !Equal(got, want) {
-				t.Fatalf("Sequential differs from core.RunSequential over Process")
+			res, err := core.RunSequential(p, core.IdentityLabels(p.NumTasks()))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err := Verify(g, got); err != nil {
+			if !Equal(res.Instance.(*Instance).Colors(), want) {
+				t.Fatalf("core.RunSequential over Process differs from the reference")
+			}
+			got := p.Sequential()
+			if !Equal(got, want) {
+				t.Fatalf("Sequential differs from the reference")
+			}
+			if err := Verify(g, labels, got); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -119,6 +156,7 @@ func TestSequentialMatchesFrameworkRun(t *testing.T) {
 
 func TestVerifyCatchesViolations(t *testing.T) {
 	g := graph.Path(3)
+	labels := core.IdentityLabels(3)
 	cases := []struct {
 		name   string
 		colors []int32
@@ -126,11 +164,73 @@ func TestVerifyCatchesViolations(t *testing.T) {
 		{"wrong length", []int32{0}},
 		{"uncolored vertex", []int32{0, NoColor, 0}},
 		{"adjacent same color", []int32{0, 0, 1}},
+		{"not the smallest free color", []int32{0, 2, 0}},
+		{"out-of-range color", []int32{0, 1, 9}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := Verify(g, tc.colors); err == nil {
+			if err := Verify(g, labels, tc.colors); err == nil {
 				t.Fatalf("Verify accepted invalid coloring %v", tc.colors)
+			}
+		})
+	}
+	if err := Verify(g, []uint32{0, 1, 1}, []int32{0, 1, 0}); !errors.Is(err, core.ErrBadPermutation) {
+		t.Fatalf("Verify with repeated labels: got %v, want core.ErrBadPermutation", err)
+	}
+}
+
+// TestVerifyRejectsProperNonGreedyColoring exchanges two color classes of
+// the greedy coloring. The result is still a proper coloring, but not the
+// one the sequential algorithm computes, so Verify must reject it.
+func TestVerifyRejectsProperNonGreedyColoring(t *testing.T) {
+	r := rng.New(21)
+	g, err := graph.GNM(1000, 6000, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := core.RandomLabels(1000, r)
+	swapped := Sequential(g, labels)
+	for v, c := range swapped {
+		switch c {
+		case 0:
+			swapped[v] = 1
+		case 1:
+			swapped[v] = 0
+		}
+	}
+	for v := 0; v < g.NumVertices(); v++ {
+		for _, u := range g.Neighbors(v) {
+			if swapped[u] == swapped[v] {
+				t.Fatalf("exchanging two color classes made %d and %d share a color", u, v)
+			}
+		}
+	}
+	if err := Verify(g, labels, swapped); err == nil {
+		t.Fatal("Verify accepted a proper coloring that is not the greedy one")
+	}
+}
+
+// TestBadPermutationRejected checks that every entry point binding a
+// coloring problem rejects a label slice that is not a permutation of the
+// vertices with core.ErrBadPermutation.
+func TestBadPermutationRejected(t *testing.T) {
+	g := graph.Path(4)
+	bad := map[string][]uint32{
+		"wrong length": {0, 1, 2},
+		"out of range": {0, 1, 2, 4},
+		"repeated":     {0, 1, 1, 3},
+	}
+	for name, labels := range bad {
+		t.Run(name, func(t *testing.T) {
+			if _, err := New(g, labels); !errors.Is(err, core.ErrBadPermutation) {
+				t.Fatalf("New: got %v, want core.ErrBadPermutation", err)
+			}
+			if _, _, err := RunRelaxed(g, labels, exactheap.New(4)); !errors.Is(err, core.ErrBadPermutation) {
+				t.Fatalf("RunRelaxed: got %v, want core.ErrBadPermutation", err)
+			}
+			mq := multiqueue.NewConcurrent(4, 4, 1)
+			if _, _, err := RunConcurrent(g, labels, mq, core.Reinsert, core.Options{Workers: 1}); !errors.Is(err, core.ErrBadPermutation) {
+				t.Fatalf("RunConcurrent: got %v, want core.ErrBadPermutation", err)
 			}
 		})
 	}
@@ -160,7 +260,7 @@ func TestRelaxedMatchesSequentialAcrossSchedulers(t *testing.T) {
 		if !Equal(got, want) {
 			t.Fatalf("%s: relaxed coloring differs from sequential", name)
 		}
-		if err := Verify(g, got); err != nil {
+		if err := Verify(g, labels, got); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -183,7 +283,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 		if !Equal(got, want) {
 			t.Fatalf("workers=%d: concurrent coloring differs from sequential", workers)
 		}
-		if err := Verify(g, got); err != nil {
+		if err := Verify(g, labels, got); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 	}
@@ -222,7 +322,7 @@ func TestDeterminismProperty(t *testing.T) {
 		}
 		labels := core.RandomLabels(n, r)
 		want := Sequential(g, labels)
-		if Verify(g, want) != nil {
+		if Verify(g, labels, want) != nil {
 			return false
 		}
 		got, _, err := RunRelaxed(g, labels, multiqueue.NewSequential(1+r.Intn(16), n, r.Fork()))

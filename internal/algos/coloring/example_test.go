@@ -11,9 +11,10 @@ import (
 )
 
 // Example colors a power-law (R-MAT) graph greedily. The coloring depends
-// on the vertex order; the framework keeps that order under a relaxed
-// sequential-model MultiQueue and under two concurrent workers, so both
-// return exactly the sequential coloring.
+// on the vertex order; New orients the graph by it once, and the framework
+// keeps that order under a relaxed sequential-model MultiQueue and under two
+// concurrent workers, so both return exactly the sequential coloring, which
+// Verify certifies against the greedy rule on the original graph.
 func Example() {
 	r := rng.New(7)
 	g, err := graph.RMAT(12, 8, 0.57, 0.19, 0.19, r)
@@ -21,9 +22,13 @@ func Example() {
 		panic(err)
 	}
 	labels := core.RandomLabels(g.NumVertices(), r)
-	reference := coloring.Sequential(g, labels)
+	p, err := coloring.New(g, labels)
+	if err != nil {
+		panic(err)
+	}
+	reference := p.Sequential()
 	fmt.Printf("%s, max degree %d\n", g, g.MaxDegree())
-	fmt.Printf("%d colors, proper %t\n", coloring.NumColors(reference), coloring.Verify(g, reference) == nil)
+	fmt.Printf("%d colors, proper %t\n", coloring.NumColors(reference), coloring.Verify(g, labels, reference) == nil)
 
 	relaxed, res, err := coloring.RunRelaxed(g, labels, multiqueue.NewSequential(16, g.NumVertices(), r.Fork()))
 	fmt.Printf("relaxed (k=16): identical %t, extra iterations %d\n",

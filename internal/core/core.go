@@ -222,8 +222,11 @@ func TasksByLabel(labels []uint32) []int32 {
 	return order
 }
 
-// validateLabels checks that labels is a permutation of [0, n).
-func validateLabels(n int, labels []uint32) error {
+// ValidateLabels checks that labels is a permutation of [0, n) and wraps
+// ErrBadPermutation when it is not. The executors check every run's labels
+// with it; a problem that lays its data out by label at bind time calls it
+// first.
+func ValidateLabels(n int, labels []uint32) error {
 	if len(labels) != n {
 		return fmt.Errorf("%w: got %d labels for %d tasks", ErrBadPermutation, len(labels), n)
 	}

@@ -158,7 +158,7 @@ func chainEdges(n int) [][2]int32 {
 func TestLabelHelpers(t *testing.T) {
 	r := rng.New(1)
 	labels := RandomLabels(100, r)
-	if err := validateLabels(100, labels); err != nil {
+	if err := ValidateLabels(100, labels); err != nil {
 		t.Fatalf("RandomLabels produced invalid permutation: %v", err)
 	}
 	id := IdentityLabels(5)
@@ -190,7 +190,7 @@ func TestValidateLabels(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateLabels(tc.n, tc.labels)
+			err := ValidateLabels(tc.n, tc.labels)
 			if tc.ok && err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}

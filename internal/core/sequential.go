@@ -7,7 +7,7 @@ package core
 // the paper's speedup plots.
 func RunSequential(p Problem, labels []uint32) (Result, error) {
 	n := p.NumTasks()
-	if err := validateLabels(n, labels); err != nil {
+	if err := ValidateLabels(n, labels); err != nil {
 		return Result{}, err
 	}
 	st := newSeqState(labels)

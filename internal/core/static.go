@@ -26,7 +26,7 @@ type static struct {
 // bindStatic validates the labels, binds p to st and returns the adapter
 // with its seed items.
 func bindStatic(p Problem, labels []uint32, st execState, policy Policy) (*static, []sched.Item, error) {
-	if err := validateLabels(p.NumTasks(), labels); err != nil {
+	if err := ValidateLabels(p.NumTasks(), labels); err != nil {
 		return nil, nil, err
 	}
 	// Seeds in priority order, so an exact FIFO scheduler dispenses them

@@ -57,7 +57,7 @@ func TestEndToEndFileRoundTripPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := coloring.Verify(parsed, colors); err != nil {
+	if err := coloring.Verify(parsed, labels, colors); err != nil {
 		t.Fatal(err)
 	}
 
@@ -224,7 +224,7 @@ func TestLabelsReuseAcrossAlgorithmsIsIndependent(t *testing.T) {
 		t.Fatalf("MIS execution corrupted the graph: %v", err)
 	}
 	colors := coloring.Sequential(g, labels)
-	if err := coloring.Verify(g, colors); err != nil {
+	if err := coloring.Verify(g, labels, colors); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -243,7 +243,7 @@ func TestVerifiersRejectCrossAlgorithmOutputs(t *testing.T) {
 			asColors[i] = 0 // deliberately improper: clique needs 6 colors
 		}
 	}
-	if err := coloring.Verify(g, asColors); err == nil {
+	if err := coloring.Verify(g, labels, asColors); err == nil {
 		t.Fatal("coloring verifier accepted a constant coloring of a clique")
 	}
 }

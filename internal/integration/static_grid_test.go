@@ -47,9 +47,14 @@ func staticCases(t *testing.T, seed uint64) []staticCase {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Coloring's tasks are priorities: it runs on g oriented by the labels.
+	coloringProblem, err := coloring.New(g, vertexLabels)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return []staticCase{
 		{"mis", mis.New(g), vertexLabels, func(i core.Instance) any { return i.(*mis.Instance).InSet() }},
-		{"coloring", coloring.New(g), vertexLabels, func(i core.Instance) any { return i.(*coloring.Instance).Colors() }},
+		{"coloring", coloringProblem, core.IdentityLabels(n), func(i core.Instance) any { return i.(*coloring.Instance).Colors() }},
 		{"matching", matching.New(g), edgeLabels, func(i core.Instance) any { return i.(*matching.Instance).Matching() }},
 		{"listcontract", listcontract.NewRandomList(600, r), core.RandomLabels(600, r), func(i core.Instance) any {
 			prev, next := i.(*listcontract.Instance).Contractions()

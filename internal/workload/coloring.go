@@ -28,19 +28,26 @@ func coloringOutput(colors []int32) Output {
 	}
 }
 
+// newColoring orients g by the priority permutation once, here: the
+// problem's tasks are priorities, so the executors get the identity
+// permutation, and only verify reads the original graph and labels.
 func newColoring(g *graph.Graph, p Params) (Instance, error) {
 	labels := core.RandomLabels(g.NumVertices(), rng.New(p.Seed))
+	problem, err := coloring.New(g, labels)
+	if err != nil {
+		return nil, err
+	}
 	return &staticInstance{
-		labels:  labels,
-		problem: coloring.New(g),
+		labels:  core.IdentityLabels(g.NumVertices()),
+		problem: problem,
 		sequential: func() Output {
-			return coloringOutput(coloring.Sequential(g, labels))
+			return coloringOutput(problem.Sequential())
 		},
 		output: func(inst core.Instance) Output {
 			return coloringOutput(inst.(*coloring.Instance).Colors())
 		},
 		verify: func(out Output) error {
-			return coloring.Verify(g, out.(*vecOutput[[]int32]).data)
+			return coloring.Verify(g, labels, out.(*vecOutput[[]int32]).data)
 		},
 	}, nil
 }

@@ -40,8 +40,13 @@
 #   - concurrent PageRank residual pushes (1 worker)
 #   - the set-up path the benchmark's exec workloads repeat: parallel G(n,p)
 #     generation plus CSR build on 100k vertices / 1M edges
-#     (BenchmarkParallelGNP) and the sequential greedy-coloring oracle on
-#     that input (BenchmarkSequentialColoring)
+#     (BenchmarkParallelGNP), orienting G(200k, 2M) by a priority
+#     permutation, which greedy coloring does once at bind
+#     (BenchmarkOrient), and the sequential greedy-coloring oracle on the
+#     100k input, orientation included (BenchmarkSequentialColoring)
+#   - the job service's benchmark job without the service: sequential MIS
+#     bound to G(1000, 5000) and run once (BenchmarkNullJob), the per-job
+#     cost any bind-time set-up would add to every svc-* job
 # One-worker macro variants are pinned because CI containers have one CPU;
 # see EXPERIMENTS.md "Profiling methodology". The gate compares per-benchmark
 # MEDIANS, not means — shared CI boxes throw occasional 2x outlier samples
@@ -92,9 +97,11 @@ run_benches() {
         [ -d internal/algos/pagerank ] && go test -run '^$' -benchtime 1x -count "$MACRO_COUNT" \
             -bench 'BenchmarkConcurrentPageRank/workers=1$' ./internal/algos/pagerank/
         go test -run '^$' -benchmem -count "$COUNT" \
-            -bench 'BenchmarkParallelGNP$' ./internal/graph/
+            -bench 'BenchmarkParallelGNP$|BenchmarkOrient$' ./internal/graph/
         go test -run '^$' -benchmem -count "$COUNT" \
             -bench 'BenchmarkSequentialColoring$' ./internal/algos/coloring/
+        go test -run '^$' -benchmem -count "$COUNT" \
+            -bench 'BenchmarkNullJob$' ./internal/workload/
     ) | tee "$out.raw" | grep -E '^Benchmark' >"$out" || true
 }
 
