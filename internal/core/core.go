@@ -189,10 +189,11 @@ var (
 )
 
 // RandomLabels returns a uniformly random priority permutation for n tasks:
-// element v is the label (priority position) of task v.
+// element v is the label (priority position) of task v. The permutation is
+// drawn with Perm32, which makes the same draws as Perm at half the scratch.
 func RandomLabels(n int, r *rng.Rand) []uint32 {
 	labels := make([]uint32, n)
-	perm := r.Perm(n)
+	perm := r.Perm32(n)
 	for pos, task := range perm {
 		labels[task] = uint32(pos)
 	}

@@ -193,9 +193,10 @@ type Manager struct {
 	cond    *sync.Cond
 	queue   sched.Scheduler
 	tracker ranktrack.Tracker
-	jobs    map[int64]*job
-	// finished is the FIFO of finished job ids backing the retention bound.
-	finished []int64
+	// jobs holds the live (queued and running) jobs; retainLocked moves a
+	// finished job into the pointer-free finished store.
+	jobs     map[int64]*job
+	finished *finishedStore
 	nextID   int64
 	pending  int
 	reserved int
@@ -275,6 +276,7 @@ func NewManager(opts Options) (*Manager, error) {
 		tunable:   tunable,
 		queue:     queue,
 		jobs:      make(map[int64]*job),
+		finished:  newFinishedStore(opts.RetainJobs),
 		nextID:    1,
 	}
 	m.cond = sync.NewCond(&m.mu)
@@ -345,8 +347,7 @@ func (m *Manager) openLog() error {
 			m.counts.Done++
 		}
 		m.counts.Submitted++
-		m.jobs[j.id] = j
-		m.retainLocked(j.id)
+		m.finished.put(j)
 	}
 	for _, rj := range replay.Unfinished {
 		// A replayed job gets a fresh trace ID — the pre-crash one was never
@@ -546,11 +547,13 @@ func (m *Manager) SubmitTraced(spec api.JobSpec, traceID string) (api.JobStatus,
 func (m *Manager) Status(id int64) (api.JobStatus, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return api.JobStatus{}, fmt.Errorf("%w: id %d", ErrUnknownJob, id)
+	if j, ok := m.jobs[id]; ok {
+		return j.status(), nil
 	}
-	return j.status(), nil
+	if st, ok := m.finished.get(id); ok {
+		return st, nil
+	}
+	return api.JobStatus{}, fmt.Errorf("%w: id %d", ErrUnknownJob, id)
 }
 
 // Metrics returns a consistent snapshot of the service counters.
@@ -622,7 +625,7 @@ func (m *Manager) Metrics() api.Metrics {
 
 // Trace returns a job's recorded lifecycle span timeline. Jobs evicted
 // from the bounded trace ring (or never admitted) report ErrUnknownJob
-// even when Status still answers from the longer-lived retention map.
+// even when Status still answers from the longer-lived finished store.
 func (m *Manager) Trace(id int64) (api.JobTrace, error) {
 	tl, ok := m.rec.Get(id)
 	if !ok {
@@ -724,7 +727,7 @@ func (m *Manager) Close(ctx context.Context) error {
 		j.state = api.StateCanceled
 		j.err = context.Canceled
 		m.counts.Canceled++
-		m.retainLocked(j.id)
+		m.retainLocked(j)
 	}
 	m.mu.Unlock()
 	for _, j := range canceled {
@@ -887,7 +890,7 @@ func (m *Manager) finish(j *job, result *api.JobResult, err error, elapsed time.
 		m.counts.Failed++
 	}
 	state := j.state
-	m.retainLocked(j.id)
+	m.retainLocked(j)
 	m.mu.Unlock()
 
 	switch state {
@@ -910,13 +913,10 @@ func (m *Manager) finish(j *job, result *api.JobResult, err error, elapsed time.
 	}
 }
 
-// retainLocked appends a finished job to the retention FIFO and forgets the
-// oldest finished jobs beyond the bound. Callers hold m.mu.
-func (m *Manager) retainLocked(id int64) {
-	m.finished = append(m.finished, id)
-	for len(m.finished) > m.opts.RetainJobs {
-		evict := m.finished[0]
-		m.finished = m.finished[1:]
-		delete(m.jobs, evict)
-	}
+// retainLocked moves a finished job from the live map into the finished
+// store, which forgets the oldest finished jobs beyond the retention bound.
+// Callers hold m.mu.
+func (m *Manager) retainLocked(j *job) {
+	delete(m.jobs, j.id)
+	m.finished.put(j)
 }

@@ -47,6 +47,9 @@
 #   - the job service's benchmark job without the service: sequential MIS
 #     bound to G(1000, 5000) and run once (BenchmarkNullJob), the per-job
 #     cost any bind-time set-up would add to every svc-* job
+#   - the finished-job store: one put into a full store of the default
+#     65 536 jobs plus one status hit (BenchmarkRetainFinished), the work
+#     every job's finish does under the manager lock
 # One-worker macro variants are pinned because CI containers have one CPU;
 # see EXPERIMENTS.md "Profiling methodology". The gate compares per-benchmark
 # MEDIANS, not means — shared CI boxes throw occasional 2x outlier samples
@@ -102,6 +105,8 @@ run_benches() {
             -bench 'BenchmarkSequentialColoring$' ./internal/algos/coloring/
         go test -run '^$' -benchmem -count "$COUNT" \
             -bench 'BenchmarkNullJob$' ./internal/workload/
+        go test -run '^$' -benchmem -count "$COUNT" \
+            -bench 'BenchmarkRetainFinished$' ./internal/service/
     ) | tee "$out.raw" | grep -E '^Benchmark' >"$out" || true
 }
 
