@@ -23,6 +23,7 @@ package coloring
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"relaxsched/internal/core"
@@ -94,27 +95,47 @@ func (inst *Instance) Dead(int) bool { return false }
 
 // Process assigns task i the smallest color unused among its predecessors,
 // which are all colored: the framework calls it only once Blocked(i) is
-// false. The used-color scratch lives on the stack while the predecessors use
-// fewer than 128 colors, so the loop does not allocate on bounded-degree
-// graphs.
+// false. A task with d predecessors has a mex of at most d, so only colors
+// 0..d can change the answer and larger ones are skipped. When d < 64 the
+// used colors fit one uint64 and the mex is its lowest clear bit; larger
+// in-degrees go to mexWords. Neither allocates while d < 4096.
 func (inst *Instance) Process(i int) {
-	var scratch [128]bool
-	used := scratch[:0]
-	for _, u := range inst.p.dag.Preds(i) {
-		c := atomic.LoadInt32(&inst.colors[u])
-		for int(c) >= len(used) {
-			used = append(used, false)
+	preds := inst.p.dag.Preds(i)
+	var color int
+	if len(preds) < 64 {
+		var used uint64
+		for _, u := range preds {
+			// A shift of 64 or more yields 0, so colors above 63 drop out.
+			used |= 1 << uint32(atomic.LoadInt32(&inst.colors[u]))
 		}
-		used[c] = true
+		color = bits.TrailingZeros64(^used)
+	} else {
+		color = inst.mexWords(preds)
 	}
-	color := int32(len(used))
-	for c, taken := range used {
-		if !taken {
-			color = int32(c)
-			break
+	atomic.StoreInt32(&inst.colors[i], int32(color))
+}
+
+// mexWords is Process for d >= 64 predecessors: a bitmap of d/64+1 words
+// covers colors 0..d, on the stack while d < 4096 and on the heap above.
+func (inst *Instance) mexWords(preds []int32) int {
+	var stack [64]uint64
+	var used []uint64
+	if words := len(preds)/64 + 1; words <= len(stack) {
+		used = stack[:words]
+	} else {
+		used = make([]uint64, words)
+	}
+	for _, u := range preds {
+		if c := uint(atomic.LoadInt32(&inst.colors[u])); c/64 < uint(len(used)) {
+			used[c/64] |= 1 << (c % 64)
 		}
 	}
-	atomic.StoreInt32(&inst.colors[i], color)
+	for w, bitsUsed := range used {
+		if bitsUsed != ^uint64(0) {
+			return 64*w + bits.TrailingZeros64(^bitsUsed)
+		}
+	}
+	return 64 * len(used)
 }
 
 // Colors returns the computed coloring in vertex order. It must only be

@@ -2,6 +2,7 @@ package coloring
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -110,12 +111,42 @@ func referenceGreedy(g *graph.Graph, labels []uint32) []int32 {
 	return colors
 }
 
+// mexBoundaryCliques are the cliques on either side of Process's one-word
+// path. Under any permutation the last task of K_n has d = n-1
+// predecessors colored 0..n-2, so its mex is n-1: K_64 (d = 63) is the
+// largest clique colored entirely in one word, K_65 (d = 64) the smallest
+// that needs two, and K_66 (d = 65) the smallest whose mex, 65, a single
+// word cannot hold.
+var mexBoundaryCliques = []int{64, 65, 66}
+
+// hubOverClique returns K_k plus a hub vertex adjacent to every clique
+// vertex and to `leaves` leaves. Under a random permutation the hub has
+// about (k+leaves)/2 predecessors: the leaves below it (color 0) and the
+// clique vertices below it, which hold the colors 0..j-1, so its mex is j.
+func hubOverClique(k, leaves int) *graph.Graph {
+	n := k + 1 + leaves
+	edges := make([]graph.Edge, 0, k*(k-1)/2+k+leaves)
+	for u := 0; u < k; u++ {
+		for v := u + 1; v < k; v++ {
+			edges = append(edges, graph.Edge{U: int32(u), V: int32(v)})
+		}
+	}
+	for v := 0; v < n; v++ {
+		if v != k {
+			edges = append(edges, graph.Edge{U: int32(k), V: int32(v)})
+		}
+	}
+	return graph.FromEdges(n, edges)
+}
+
 // TestSequentialMatchesFrameworkRun checks the oracle and the framework's
 // sequential executor driving Process against referenceGreedy, on inputs
 // that stress each side's color table: a random graph, a star (one vertex
-// sees every other), an edgeless graph (every color is 0) and K_300, whose
-// 300 colors overflow Process's 128-slot stack scratch and fill the
-// oracle's MaxInDegree()+1 table to the last slot.
+// sees every other), an edgeless graph (every color is 0), the cliques
+// around Process's one-word path (mexBoundaryCliques), K_300, whose last
+// task needs a five-word bitmap and fills the oracle's MaxInDegree()+1
+// table to the last slot, and a hub with over 4096 predecessors, which
+// takes Process's heap-allocated bitmap.
 func TestSequentialMatchesFrameworkRun(t *testing.T) {
 	r := rng.New(13)
 	gnm, err := graph.GNM(2000, 12000, r)
@@ -127,6 +158,10 @@ func TestSequentialMatchesFrameworkRun(t *testing.T) {
 		"star":         graph.Star(500),
 		"edgeless":     graph.FromEdges(50, nil),
 		"complete-300": graph.Complete(300),
+		"hub":          hubOverClique(300, 20_000),
+	}
+	for _, k := range mexBoundaryCliques {
+		inputs[fmt.Sprintf("complete-%d", k)] = graph.Complete(k)
 	}
 	for name, g := range inputs {
 		t.Run(name, func(t *testing.T) {
@@ -135,6 +170,9 @@ func TestSequentialMatchesFrameworkRun(t *testing.T) {
 			p, err := New(g, labels)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if name == "hub" && p.dag.MaxInDegree() < 4096 {
+				t.Fatalf("hub has %d predecessors, want at least 4096", p.dag.MaxInDegree())
 			}
 			res, err := core.RunSequential(p, core.IdentityLabels(p.NumTasks()))
 			if err != nil {
@@ -151,6 +189,62 @@ func TestSequentialMatchesFrameworkRun(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestProcessSkipsColorsAboveTheBitmap pins Process on predecessors whose
+// colors lie beyond the bitmap it keeps. Under the identity permutation
+// vertex c of K_130 has color c; each probe vertex after the clique sees
+// the clique vertices listed, and its mex is fixed by hand.
+func TestProcessSkipsColorsAboveTheBitmap(t *testing.T) {
+	const k = 130
+	span := func(lo, hi int32) []int32 {
+		var s []int32
+		for c := lo; c < hi; c++ {
+			s = append(s, c)
+		}
+		return s
+	}
+	probes := []struct {
+		preds []int32
+		mex   int32
+	}{
+		{[]int32{64}, 0},                            // d = 1: color 64 is outside the word
+		{append(span(0, 63), 127), 63},              // d = 64: 127 is the second word's last bit
+		{append(span(0, 63), 129), 63},              // d = 64: 129 is past both words
+		{span(0, 65), 65},                           // d = 65: the mex is 65
+		{append(span(1, 64), 128, 129), 0},          // d = 65: color 0 is free
+		{append(span(0, 64), span(65, 130)...), 64}, // d = 129: a gap inside the bitmap
+	}
+	var edges []graph.Edge
+	for u := int32(0); u < k; u++ {
+		for v := u + 1; v < k; v++ {
+			edges = append(edges, graph.Edge{U: u, V: v})
+		}
+	}
+	for i, pr := range probes {
+		for _, u := range pr.preds {
+			edges = append(edges, graph.Edge{U: u, V: int32(k + i)})
+		}
+	}
+	g := graph.FromEdges(k+len(probes), edges)
+	labels := core.IdentityLabels(g.NumVertices())
+	p, err := New(g, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.RunSequential(p, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Instance.(*Instance).Colors()
+	for i, pr := range probes {
+		if c := got[k+i]; c != pr.mex {
+			t.Errorf("probe %d (d = %d): color %d, want %d", i, len(pr.preds), c, pr.mex)
+		}
+	}
+	if want := referenceGreedy(g, labels); !Equal(got, want) {
+		t.Fatal("core.RunSequential over Process differs from the reference")
 	}
 }
 
@@ -285,6 +379,30 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 		}
 		if err := Verify(g, labels, got); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+	}
+
+	// On a clique every task waits for the one before it, so the concurrent
+	// executor reproduces the boundary mexes one task at a time, whether a
+	// worker takes one item per acquisition or 64.
+	for _, k := range mexBoundaryCliques {
+		g := graph.Complete(k)
+		labels := core.RandomLabels(k, rng.New(uint64(k)))
+		want := Sequential(g, labels)
+		for _, batch := range []int{1, 64} {
+			for _, workers := range []int{1, 4} {
+				mq := multiqueue.NewConcurrent(4*workers, k, uint64(workers))
+				got, _, err := RunConcurrent(g, labels, mq, core.Reinsert, core.Options{Workers: workers, BatchSize: batch})
+				if err != nil {
+					t.Fatalf("K_%d batch=%d workers=%d: %v", k, batch, workers, err)
+				}
+				if !Equal(got, want) {
+					t.Fatalf("K_%d batch=%d workers=%d: concurrent coloring differs from sequential", k, batch, workers)
+				}
+				if NumColors(got) != k {
+					t.Fatalf("K_%d batch=%d workers=%d: %d colors, want %d", k, batch, workers, NumColors(got), k)
+				}
+			}
 		}
 	}
 }

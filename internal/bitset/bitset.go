@@ -117,9 +117,6 @@ func NewAtomic(n int) *Atomic {
 	}
 }
 
-// Len returns the capacity of the set in bits.
-func (a *Atomic) Len() int { return a.n }
-
 // Set sets bit i and reports whether this call changed it (i.e. it was
 // previously clear). The test-and-set semantics let concurrent executors
 // claim a task exactly once.

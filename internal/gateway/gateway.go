@@ -213,7 +213,9 @@ func (g *Gateway) checkHealth(timeout time.Duration) {
 // a non-owner would trade the graph-cache hit for a cold build, and the
 // retry_after_ms hint already routes the retry back to the owner. Only
 // transport failures fail over; with no reachable backend the gateway
-// answers 502 backend_down.
+// answers 502 backend_down. A call that failed because ctx was cancelled or
+// timed out says nothing about the backend: the context error is returned
+// and no backend is marked down, here and in Status, JobTrace and Workloads.
 func (g *Gateway) Submit(ctx context.Context, spec api.JobSpec) (api.JobStatus, error) {
 	g.mu.Lock()
 	draining := g.draining
@@ -233,6 +235,9 @@ func (g *Gateway) Submit(ctx context.Context, spec api.JobSpec) (api.JobStatus, 
 			var e *api.Error
 			if errors.As(err, &e) {
 				return api.JobStatus{}, e
+			}
+			if cerr := ctx.Err(); cerr != nil {
+				return api.JobStatus{}, cerr
 			}
 			b.healthy.Store(false)
 			g.logger.Warn("backend down", "backend", b.url, "err", err)
@@ -304,6 +309,9 @@ func (g *Gateway) Status(ctx context.Context, id int64) (api.JobStatus, error) {
 		if errors.As(err, &e) {
 			return api.JobStatus{}, e
 		}
+		if cerr := ctx.Err(); cerr != nil {
+			return api.JobStatus{}, cerr
+		}
 		b.healthy.Store(false)
 		return api.JobStatus{}, &api.Error{Code: api.CodeBackendDown, Message: fmt.Sprintf("gateway: backend %s unreachable: %v", b.url, err)}
 	}
@@ -333,6 +341,9 @@ func (g *Gateway) JobTrace(ctx context.Context, id int64) (api.JobTrace, error) 
 		if errors.As(err, &e) {
 			return api.JobTrace{}, e
 		}
+		if cerr := ctx.Err(); cerr != nil {
+			return api.JobTrace{}, cerr
+		}
 		b.healthy.Store(false)
 		return api.JobTrace{}, &api.Error{Code: api.CodeBackendDown, Message: fmt.Sprintf("gateway: backend %s unreachable: %v", b.url, err)}
 	}
@@ -357,6 +368,9 @@ func (g *Gateway) Workloads(ctx context.Context) ([]api.WorkloadInfo, error) {
 			var e *api.Error
 			if errors.As(err, &e) {
 				return nil, e
+			}
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, cerr
 			}
 			b.healthy.Store(false)
 			continue

@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -156,6 +157,36 @@ func TestGatewayFailover(t *testing.T) {
 	allDead := newTestGateway(t, deadBackendURL(t), deadBackendURL(t))
 	if _, err := allDead.Submit(ctx, misSpec(1)); !api.IsCode(err, api.CodeBackendDown) {
 		t.Fatalf("submit with no live backend: %v, want %s", err, api.CodeBackendDown)
+	}
+}
+
+// TestGatewayCallerCancelKeepsBackendsHealthy: a request whose caller has
+// already hung up fails with the context error, and no backend is marked
+// down for it — one client's cancellation must not take the fleet out of
+// the submit rotation.
+func TestGatewayCallerCancelKeepsBackendsHealthy(t *testing.T) {
+	b1, b2 := startBackend(t), startBackend(t)
+	g := newTestGateway(t, b1.srv.URL, b2.srv.URL)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	if _, err := g.Submit(ctx, misSpec(1)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("submit with a cancelled context: %v, want %v", err, context.Canceled)
+	}
+	if _, err := g.Status(ctx, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("status with a cancelled context: %v, want %v", err, context.Canceled)
+	}
+	if _, err := g.JobTrace(ctx, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("trace with a cancelled context: %v, want %v", err, context.Canceled)
+	}
+	if _, err := g.Workloads(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("workloads with a cancelled context: %v, want %v", err, context.Canceled)
+	}
+	if h := g.HealthyBackends(); h != 2 {
+		t.Fatalf("healthy backends = %d after cancelled calls, want 2", h)
+	}
+	if _, err := g.Submit(context.Background(), misSpec(1)); err != nil {
+		t.Fatalf("submit after cancelled calls: %v", err)
 	}
 }
 

@@ -206,10 +206,6 @@ func (b *Builder) AddEdges(edges []Edge) error {
 	return nil
 }
 
-// NumPendingEdges returns the number of edge records added so far (before
-// deduplication).
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
 // Build produces the immutable CSR graph. The builder can be reused after
 // Build; its pending edges are retained.
 func (b *Builder) Build() *Graph {

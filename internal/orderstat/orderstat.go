@@ -27,9 +27,6 @@ func NewFenwick(n int) *Fenwick {
 	return &Fenwick{tree: make([]int64, n+1), n: n}
 }
 
-// Len returns the size of the key universe.
-func (f *Fenwick) Len() int { return f.n }
-
 // Add adds delta to position i.
 func (f *Fenwick) Add(i int, delta int64) {
 	if i < 0 || i >= f.n {

@@ -36,6 +36,8 @@
 #     the handle-level preload-then-drain (BenchmarkWorkerHandlePreloadDrain)
 #   - concurrent MIS, the static contract through the engine (1 worker:
 #     pure hot-loop cost, adapter included)
+#   - concurrent greedy coloring on its bound dependency DAG (1 worker:
+#     Blocked and Process per task, the orientation excluded)
 #   - concurrent SSSP, the dynamic contract (1 worker)
 #   - concurrent PageRank residual pushes (1 worker)
 #   - the set-up path the benchmark's exec workloads repeat: parallel G(n,p)
@@ -95,6 +97,8 @@ run_benches() {
             ./internal/sched/multiqueue/
         go test -run '^$' -benchtime 1x -count "$MACRO_COUNT" \
             -bench 'BenchmarkConcurrentMIS/workers=1$' ./internal/algos/mis/
+        go test -run '^$' -benchtime 1x -count "$MACRO_COUNT" \
+            -bench 'BenchmarkConcurrentColoring/workers=1$' ./internal/algos/coloring/
         [ -d internal/algos/sssp ] && go test -run '^$' -benchtime 1x -count "$MACRO_COUNT" \
             -bench 'BenchmarkConcurrentSSSP/workers=1$' ./internal/algos/sssp/
         [ -d internal/algos/pagerank ] && go test -run '^$' -benchtime 1x -count "$MACRO_COUNT" \
